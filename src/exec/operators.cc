@@ -115,10 +115,13 @@ void ProfileInto(const PhysicalOp* op, obs::QueryProfile::Node* node) {
   node->batches = st.batches;
   node->time_ns = st.total_ns();
   node->est_rows = op->est_rows();
+  uint64_t children_ns = 0;
   for (const PhysicalOp* child : op->Children()) {
     node->children.emplace_back();
     ProfileInto(child, &node->children.back());
+    children_ns += node->children.back().time_ns;
   }
+  node->self_ns = node->time_ns > children_ns ? node->time_ns - children_ns : 0;
 }
 
 }  // namespace
@@ -141,16 +144,179 @@ std::vector<Row> CollectRows(PhysicalOp* op) {
   return rows;
 }
 
+// -------------------------------------------------------- ColumnScanPlan
+
+std::string DescribeProjection(const Schema& schema,
+                               const std::vector<int>& projection) {
+  bool full = projection.size() == schema.num_columns();
+  for (size_t i = 0; full && i < projection.size(); ++i) {
+    full = projection[i] == static_cast<int>(i);
+  }
+  if (full) return "";
+  std::string out = ", cols=[";
+  for (size_t i = 0; i < projection.size(); ++i) {
+    if (i > 0) out += ",";
+    out += schema.column(projection[i]).name;
+  }
+  return out + "]";
+}
+
+void ColumnScanPlan::Init(const ExprPtr& predicate,
+                          const std::vector<int>& projection,
+                          size_t num_schema_columns) {
+  pushed.clear();
+  residual = nullptr;
+  if (predicate != nullptr) {
+    std::vector<ExprPtr> conjuncts;
+    Expr::SplitConjuncts(predicate, &conjuncts);
+    std::vector<ExprPtr> residual_terms;
+    for (const ExprPtr& c : conjuncts) {
+      Expr::ColumnPredicate cp;
+      if (c->AsColumnPredicate(&cp)) {
+        pushed.push_back(cp);
+      } else {
+        residual_terms.push_back(c);
+      }
+    }
+    residual = Expr::CombineConjuncts(residual_terms);
+  }
+  // Gather only the columns the output or the residual actually touches.
+  needed = projection;
+  CollectExprColumns(residual, &needed);
+  std::sort(needed.begin(), needed.end());
+  needed.erase(std::unique(needed.begin(), needed.end()), needed.end());
+  schema_to_batch.assign(num_schema_columns, -1);
+  for (size_t i = 0; i < needed.size(); ++i) {
+    schema_to_batch[needed[i]] = static_cast<int>(i);
+  }
+  residual_remapped =
+      residual == nullptr ? nullptr : RemapExprColumns(residual, schema_to_batch);
+}
+
+void ColumnScanPlan::Select(const MainFragment& main, Timestamp read_ts,
+                            BitVector* sel, size_t* zones_pruned) const {
+  main.VisibleMask(read_ts, sel);
+  if (main.num_rows() == 0) return;  // empty main has no segments to scan
+  for (const Expr::ColumnPredicate& cp : pushed) {
+    // Zone-pruned storage-index scan: only zones whose min/max admit the
+    // predicate are evaluated by the packed kernel.
+    BitVector hits;
+    size_t pruned = 0;
+    main.column(cp.column).ScanCompareZoned(cp.op, cp.constant, &hits,
+                                            &pruned);
+    *zones_pruned += pruned;
+    sel->And(hits);
+  }
+}
+
+namespace {
+
+// Typed decode of one segment at ascending row ids.
+void GatherSegment(const ColumnSegment& seg,
+                   const std::vector<uint32_t>& rids, ColumnVector* cv) {
+  size_t n = rids.size();
+  cv->Resize(n);
+  switch (seg.type()) {
+    case ValueType::kInt64:
+      seg.GatherInt64(rids.data(), n, cv->mutable_i64()->data());
+      break;
+    case ValueType::kDouble:
+      seg.GatherDouble(rids.data(), n, cv->mutable_f64()->data());
+      break;
+    case ValueType::kString:
+      seg.GatherString(rids.data(), n, cv->mutable_str()->data());
+      break;
+  }
+  if (seg.has_nulls()) {
+    for (size_t k = 0; k < n; ++k) {
+      if (seg.IsNull(rids[k])) cv->SetNull(k);
+    }
+  }
+}
+
+}  // namespace
+
+void ColumnScanPlan::EmitMain(const MainFragment& main,
+                              const std::vector<int>& projection,
+                              const std::vector<uint32_t>& rids,
+                              Batch* out) const {
+  // Gather the needed columns, then filter, then project.
+  Batch full;
+  full.columns.reserve(needed.size());
+  for (int c : needed) {
+    const ColumnSegment& seg = main.column(c);
+    full.columns.emplace_back(seg.type());
+    GatherSegment(seg, rids, &full.columns.back());
+  }
+  if (residual_remapped == nullptr && projection == needed) {
+    *out = std::move(full);  // every gathered row and column is output
+    return;
+  }
+  BitVector keep;
+  if (residual_remapped != nullptr) {
+    residual_remapped->EvalPredicate(full, &keep);
+  } else {
+    keep.Resize(full.num_rows());
+    keep.SetAll();
+  }
+  out->columns.clear();
+  out->columns.reserve(projection.size());
+  for (int c : projection) {
+    const ColumnVector& src = full.columns[schema_to_batch[c]];
+    out->columns.emplace_back(src.type());
+    out->columns.back().AppendSelected(src, keep);
+  }
+}
+
+Batch CollectBatch(PhysicalOp* op) {
+  Batch all;
+  for (ValueType t : op->OutputTypes()) all.columns.emplace_back(t);
+  op->OpenTimed();
+  Batch batch;
+  while (op->NextBatchTimed(&batch)) {
+    if (batch.num_rows() > 0) all.AppendRows(batch, 0, batch.num_rows());
+  }
+  return all;
+}
+
+Batch EmptyBatch(const std::vector<ValueType>& types) {
+  Batch b;
+  b.columns.reserve(types.size());
+  for (ValueType t : types) b.columns.emplace_back(t);
+  return b;
+}
+
+void AppendIfPasses(const Row& row, const ExprPtr& predicate,
+                    const std::vector<int>& projection, Batch* out) {
+  if (predicate != nullptr) {
+    Value v = predicate->EvalRow(row);
+    if (v.is_null() || !v.AsBool()) return;
+  }
+  for (size_t p = 0; p < projection.size(); ++p) {
+    out->columns[p].AppendValue(row[static_cast<size_t>(projection[p])]);
+  }
+}
+
+size_t CollectDeltaRows(const ColumnTable::Snapshot& snap,
+                        const ExprPtr& predicate,
+                        const std::vector<int>& projection, Batch* out) {
+  size_t scanned = 0;
+  auto consume = [&](uint32_t, const Row& row) {
+    ++scanned;
+    AppendIfPasses(row, predicate, projection, out);
+  };
+  if (snap.frozen != nullptr) snap.frozen->ForEachVisible(snap.read_ts, consume);
+  snap.delta->ForEachVisible(snap.read_ts, consume);
+  return scanned;
+}
+
 // ---------------------------------------------------------------- ScanOp
 
 std::string ScanOp::Describe() const {
   std::string out = "Scan(" + table_->name() + " [" +
                     TableFormatToString(table_->format()) + "]";
-  if (!pushed_.empty() || residual_ != nullptr) {
-    if (predicate_ != nullptr) out += ", pred=" + predicate_->ToString();
-  } else if (predicate_ != nullptr) {
-    out += ", pred=" + predicate_->ToString();
-  }
+  if (predicate_ != nullptr) out += ", pred=" + predicate_->ToString();
+  out += DescribeProjection(table_->schema(), projection_);
   if (path_ == Path::kRow) out += ", path=row";
   if (path_ == Path::kColumn) out += ", path=column";
   out += ")";
@@ -183,10 +349,8 @@ void ScanOp::Open() {
   rows_scanned_ = 0;
   zones_pruned_ = 0;
   main_pos_ = 0;
-  pending_rows_.clear();
+  pending_ = EmptyBatch(out_types_);
   pending_pos_ = 0;
-  delta_done_ = false;
-  row_scan_done_ = false;
 
   // Resolve the physical side: column whenever one exists (historical
   // behavior), unless a forced path overrides it and the table actually
@@ -200,86 +364,27 @@ void ScanOp::Open() {
     // passing rows once (OLTP-sized tables).
     table_->row_table()->ScanVisible(read_ts_, [&](const Row& row) {
       ++rows_scanned_;
-      if (predicate_ != nullptr) {
-        Value v = predicate_->EvalRow(row);
-        if (v.is_null() || !v.AsBool()) return;
-      }
-      pending_rows_.push_back(row);
+      AppendIfPasses(row, predicate_, projection_, &pending_);
     });
     return;
   }
 
   snap_ = table_->GetColumnSnapshot(read_ts_);
   OLTAP_CHECK(snap_.has_value());
-
-  // Split the predicate into pushable single-column terms and a residual.
-  pushed_.clear();
-  residual_ = nullptr;
-  if (predicate_ != nullptr) {
-    std::vector<ExprPtr> conjuncts;
-    Expr::SplitConjuncts(predicate_, &conjuncts);
-    std::vector<ExprPtr> residual_terms;
-    for (const ExprPtr& c : conjuncts) {
-      Expr::ColumnPredicate cp;
-      if (c->AsColumnPredicate(&cp)) {
-        pushed_.push_back(cp);
-      } else {
-        residual_terms.push_back(c);
-      }
-    }
-    residual_ = Expr::CombineConjuncts(residual_terms);
-  }
-
-  // Gather only the columns the output or the residual actually touches.
-  needed_ = projection_;
-  CollectExprColumns(residual_, &needed_);
-  std::sort(needed_.begin(), needed_.end());
-  needed_.erase(std::unique(needed_.begin(), needed_.end()), needed_.end());
-  schema_to_batch_.assign(table_->schema().num_columns(), -1);
-  for (size_t i = 0; i < needed_.size(); ++i) {
-    schema_to_batch_[needed_[i]] = static_cast<int>(i);
-  }
-  residual_remapped_ =
-      residual_ == nullptr ? nullptr
-                           : RemapExprColumns(residual_, schema_to_batch_);
-
+  plan_.Init(predicate_, projection_, table_->schema().num_columns());
   PrepareMainSelection();
 
-  // Delta (and frozen delta) rows: row-at-a-time with the full predicate.
-  auto consume = [&](uint32_t, const Row& row) {
-    ++rows_scanned_;
-    if (predicate_ != nullptr) {
-      Value v = predicate_->EvalRow(row);
-      if (v.is_null() || !v.AsBool()) return;
-    }
-    pending_rows_.push_back(row);
-  };
-  if (snap_->frozen != nullptr) {
-    snap_->frozen->ForEachVisible(read_ts_, consume);
-  }
-  snap_->delta->ForEachVisible(read_ts_, consume);
+  rows_scanned_ +=
+      CollectDeltaRows(*snap_, predicate_, projection_, &pending_);
 }
 
 void ScanOp::PrepareMainSelection() {
   const MainFragment& main = *snap_->main;
-  main.VisibleMask(read_ts_, &main_sel_);
   rows_scanned_ += main.num_rows();
-  if (main.num_rows() == 0) return;  // empty main has no segments to scan
-  for (const Expr::ColumnPredicate& cp : pushed_) {
-    const ColumnSegment& seg = main.column(cp.column);
-    // Zone-pruned storage-index scan: only zones whose min/max admit the
-    // predicate are evaluated by the packed kernel.
-    BitVector hits;
-    size_t pruned = 0;
-    seg.ScanCompareZoned(cp.op, cp.constant, &hits, &pruned);
-    zones_pruned_ += pruned;
-    main_sel_.And(hits);
-  }
+  plan_.Select(main, read_ts_, &main_sel_, &zones_pruned_);
 }
 
 bool ScanOp::EmitMainBatch(Batch* out) {
-  const MainFragment& main = *snap_->main;
-  const Schema& schema = table_->schema();
   // Gather the next chunk of selected rowids.
   std::vector<uint32_t> rids;
   rids.reserve(kDefaultBatchRows);
@@ -290,72 +395,17 @@ bool ScanOp::EmitMainBatch(Batch* out) {
   }
   main_pos_ = i;
   if (rids.empty()) return false;
-
-  // Gather the needed columns (projection ∪ residual refs), then filter,
-  // then project.
-  Batch full;
-  full.columns.reserve(needed_.size());
-  for (int c : needed_) {
-    ColumnVector cv(schema.column(c).type);
-    cv.Reserve(rids.size());
-    const ColumnSegment& seg = main.column(c);
-    for (uint32_t rid : rids) {
-      if (seg.IsNull(rid)) {
-        cv.AppendNull();
-        continue;
-      }
-      switch (seg.type()) {
-        case ValueType::kInt64:
-          cv.AppendInt64(seg.GetInt64(rid));
-          break;
-        case ValueType::kDouble:
-          cv.AppendDouble(seg.GetDouble(rid));
-          break;
-        case ValueType::kString:
-          cv.AppendString(std::string(seg.GetString(rid)));
-          break;
-      }
-    }
-    full.columns.push_back(std::move(cv));
-  }
-
-  BitVector keep;
-  if (residual_remapped_ != nullptr) {
-    residual_remapped_->EvalPredicate(full, &keep);
-  } else {
-    keep.Resize(full.num_rows());
-    keep.SetAll();
-  }
-
-  out->columns.clear();
-  out->columns.reserve(projection_.size());
-  for (size_t p = 0; p < projection_.size(); ++p) {
-    const ColumnVector& src =
-        full.columns[schema_to_batch_[projection_[p]]];
-    ColumnVector cv(src.type());
-    for (size_t r = keep.FindNextSet(0); r < keep.size();
-         r = keep.FindNextSet(r + 1)) {
-      cv.AppendValue(src.GetValue(r));
-    }
-    out->columns.push_back(std::move(cv));
-  }
+  plan_.EmitMain(*snap_->main, projection_, rids, out);
   return true;
 }
 
 bool ScanOp::EmitDeltaRows(Batch* out) {
-  if (pending_pos_ >= pending_rows_.size()) return false;
+  size_t n = pending_.num_rows();
+  if (pending_pos_ >= n) return false;
+  size_t end = std::min(n, pending_pos_ + kDefaultBatchRows);
   out->columns.clear();
-  out->columns.reserve(projection_.size());
-  for (size_t p = 0; p < projection_.size(); ++p) {
-    out->columns.emplace_back(out_types_[p]);
-  }
-  size_t end = std::min(pending_rows_.size(), pending_pos_ + kDefaultBatchRows);
-  for (; pending_pos_ < end; ++pending_pos_) {
-    const Row& row = pending_rows_[pending_pos_];
-    for (size_t p = 0; p < projection_.size(); ++p) {
-      out->columns[p].AppendValue(row[projection_[p]]);
-    }
-  }
+  out->AppendRows(pending_, pending_pos_, end);
+  pending_pos_ = end;
   return true;
 }
 
@@ -371,7 +421,7 @@ bool ScanOp::NextBatch(Batch* out) {
     }
     return EmitDeltaRows(out);
   }
-  return EmitDeltaRows(out);  // pending_rows_ holds the row-engine result
+  return EmitDeltaRows(out);  // pending_ holds the row-engine result
 }
 
 // --------------------------------------------------------------- FilterOp
@@ -401,13 +451,9 @@ bool FilterOp::NextBatch(Batch* out) {
     if (keep.CountSet() == 0) continue;
     out->columns.clear();
     out->columns.reserve(in.num_columns());
-    for (size_t c = 0; c < in.num_columns(); ++c) {
-      ColumnVector cv(in.columns[c].type());
-      for (size_t r = keep.FindNextSet(0); r < keep.size();
-           r = keep.FindNextSet(r + 1)) {
-        cv.AppendValue(in.columns[c].GetValue(r));
-      }
-      out->columns.push_back(std::move(cv));
+    for (const ColumnVector& col : in.columns) {
+      out->columns.emplace_back(col.type());
+      out->columns.back().AppendSelected(col, keep);
     }
     return true;
   }
@@ -487,10 +533,7 @@ HashAggOp::HashAggOp(PhysicalOpPtr child, std::vector<ExprPtr> group_exprs,
       aggs_(std::move(aggs)) {}
 
 std::vector<ValueType> HashAggOp::OutputTypes() const {
-  std::vector<ValueType> types;
-  for (const ExprPtr& g : group_exprs_) types.push_back(g->result_type());
-  for (const AggSpec& a : aggs_) types.push_back(a.OutputType());
-  return types;
+  return AggOutputTypes(group_exprs_, aggs_);
 }
 
 void HashAggOp::Open() {
@@ -500,9 +543,34 @@ void HashAggOp::Open() {
   done_ = false;
 }
 
+std::vector<ValueType> AggOutputTypes(const std::vector<ExprPtr>& group_exprs,
+                                      const std::vector<AggSpec>& aggs) {
+  std::vector<ValueType> types;
+  for (const ExprPtr& g : group_exprs) types.push_back(g->result_type());
+  for (const AggSpec& a : aggs) types.push_back(a.OutputType());
+  return types;
+}
+
 void AggAccumulator::Clear() {
-  index_.clear();
-  groups_.clear();
+  index_.Clear();
+  keys_.clear();
+  states_.clear();
+}
+
+size_t AggAccumulator::GroupFor(std::string_view key, uint64_t hash,
+                                const std::vector<const ColumnVector*>& cols,
+                                size_t row, const Value* src_keys) {
+  bool inserted;
+  size_t g = index_.FindOrInsert(key, hash, &inserted);
+  if (inserted) {
+    size_t nk = group_exprs_->size();
+    for (size_t k = 0; k < nk; ++k) {
+      keys_.push_back(src_keys != nullptr ? src_keys[k]
+                                          : cols[k]->GetValue(row));
+    }
+    states_.resize(states_.size() + aggs_->size());
+  }
+  return g;
 }
 
 void AggAccumulator::Consume(const Batch& batch) {
@@ -510,82 +578,145 @@ void AggAccumulator::Consume(const Batch& batch) {
   const std::vector<AggSpec>& aggs = *aggs_;
   size_t n = batch.num_rows();
   if (n == 0) return;
-  // Evaluate group keys and agg arguments once per batch.
-  std::vector<ColumnVector> keys;
+  // Group keys and aggregate arguments: column references read the batch
+  // in place, other expressions are evaluated once per batch.
+  std::vector<ColumnVector> computed;
+  computed.reserve(group_exprs.size() + aggs.size());
+  auto resolve = [&](const ExprPtr& e) -> const ColumnVector* {
+    if (e->kind() == Expr::Kind::kColumn) {
+      return &batch.columns[static_cast<size_t>(e->column_index())];
+    }
+    computed.push_back(e->EvalBatch(batch));
+    return &computed.back();
+  };
+  std::vector<const ColumnVector*> keys;
   keys.reserve(group_exprs.size());
-  for (const ExprPtr& g : group_exprs) keys.push_back(g->EvalBatch(batch));
-  std::vector<ColumnVector> args(aggs.size());
+  for (const ExprPtr& g : group_exprs) keys.push_back(resolve(g));
+  std::vector<const ColumnVector*> args(aggs.size(), nullptr);
   for (size_t a = 0; a < aggs.size(); ++a) {
-    if (aggs[a].arg != nullptr) args[a] = aggs[a].arg->EvalBatch(batch);
+    if (aggs[a].arg != nullptr) args[a] = resolve(aggs[a].arg);
   }
 
-  Row key_row(group_exprs.size());
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t k = 0; k < keys.size(); ++k) key_row[k] = keys[k].GetValue(i);
-    std::string hk = HashKeyOf(key_row);
-    auto [it, inserted] = index_.emplace(std::move(hk), groups_.size());
-    if (inserted) {
-      Group g;
-      g.keys = key_row;
-      g.states.resize(aggs.size());
-      groups_.push_back(std::move(g));
-    }
-    Group& group = groups_[it->second];
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      AggState& st = group.states[a];
-      const AggSpec& spec = aggs[a];
-      if (spec.fn == AggSpec::Fn::kCountStar) {
-        ++st.count;
+  // The group of every row (new groups append in first-seen order), then
+  // one typed loop per aggregate.
+  row_group_.resize(n);
+  if (keys.empty()) {
+    key_buf_.clear();
+    std::fill(row_group_.begin(), row_group_.end(),
+              GroupFor(key_buf_, KeyIndex::Hash(key_buf_), keys, 0, nullptr));
+  } else {
+    // Clustered keys repeat row after row: compare with the previous
+    // row's key before hashing.
+    prev_key_.clear();
+    for (size_t i = 0; i < n; ++i) {
+      EncodeKeyAt(keys, i, &key_buf_);
+      if (i > 0 && key_buf_ == prev_key_) {
+        row_group_[i] = row_group_[i - 1];
         continue;
       }
-      if (args[a].IsNull(i)) continue;  // SQL: aggregates skip NULLs
-      Value v = args[a].GetValue(i);
+      row_group_[i] =
+          GroupFor(key_buf_, KeyIndex::Hash(key_buf_), keys, i, nullptr);
+      key_buf_.swap(prev_key_);
+    }
+  }
+  for (size_t a = 0; a < aggs.size(); ++a) ConsumeAgg(a, args[a], n);
+}
+
+void AggAccumulator::ConsumeAgg(size_t a, const ColumnVector* arg, size_t n) {
+  const AggSpec& spec = (*aggs_)[a];
+  const size_t naggs = aggs_->size();
+  auto state = [&](size_t i) -> AggState& {
+    return states_[row_group_[i] * naggs + a];
+  };
+  if (spec.fn == AggSpec::Fn::kCountStar) {
+    for (size_t i = 0; i < n; ++i) ++state(i).count;
+    return;
+  }
+  // SQL: aggregates skip NULLs. `update(st, i)` sees non-null rows only.
+  auto for_each = [&](auto update) {
+    for (size_t i = 0; i < n; ++i) {
+      if (arg->IsNull(i)) continue;
+      AggState& st = state(i);
       ++st.count;
-      switch (spec.fn) {
-        case AggSpec::Fn::kSum:
-        case AggSpec::Fn::kAvg:
-          if (v.type() == ValueType::kInt64) {
-            st.isum += v.AsInt64();
-          }
-          st.sum += v.AsDouble();
-          break;
-        case AggSpec::Fn::kMin:
-          if (!st.any || v.Compare(st.min) < 0) st.min = v;
-          break;
-        case AggSpec::Fn::kMax:
-          if (!st.any || v.Compare(st.max) > 0) st.max = v;
-          break;
-        default:
-          break;
-      }
+      update(st, i);
       st.any = true;
     }
+  };
+  const bool is_int = arg->type() == ValueType::kInt64;
+  switch (spec.fn) {
+    case AggSpec::Fn::kCount:
+      for_each([](AggState&, size_t) {});
+      return;
+    case AggSpec::Fn::kSum:
+    case AggSpec::Fn::kAvg:
+      if (is_int) {
+        for_each([&](AggState& st, size_t i) { st.isum += arg->GetInt64(i); });
+      } else {
+        for_each([&](AggState& st, size_t i) { st.sum.Add(arg->GetDouble(i)); });
+      }
+      return;
+    case AggSpec::Fn::kMin:
+    case AggSpec::Fn::kMax: {
+      // Same order as Value::Compare, without boxing every row: the state
+      // is replaced only by a strictly better value, so ties keep the
+      // first-seen one.
+      const bool is_min = spec.fn == AggSpec::Fn::kMin;
+      auto better = [is_min](const auto& v, const auto& cur) {
+        return is_min ? v < cur : cur < v;
+      };
+      switch (arg->type()) {
+        case ValueType::kInt64:
+          for_each([&](AggState& st, size_t i) {
+            int64_t v = arg->GetInt64(i);
+            if (!st.any || better(v, st.best.AsInt64())) {
+              st.best = Value::Int64(v);
+            }
+          });
+          return;
+        case ValueType::kDouble:
+          for_each([&](AggState& st, size_t i) {
+            double v = arg->GetDouble(i);
+            if (!st.any || better(v, st.best.AsDouble())) {
+              st.best = Value::Double(v);
+            }
+          });
+          return;
+        case ValueType::kString:
+          for_each([&](AggState& st, size_t i) {
+            const std::string& v = arg->GetString(i);
+            if (!st.any || better(v, st.best.AsString())) {
+              st.best = Value::String(v);
+            }
+          });
+          return;
+      }
+      return;
+    }
+    case AggSpec::Fn::kCountStar:
+      return;
   }
 }
 
 void AggAccumulator::MergeFrom(const AggAccumulator& other) {
   const std::vector<AggSpec>& aggs = *aggs_;
-  for (const Group& og : other.groups_) {
-    std::string hk = HashKeyOf(og.keys);
-    auto [it, inserted] = index_.emplace(std::move(hk), groups_.size());
-    if (inserted) {
-      Group g;
-      g.keys = og.keys;
-      g.states.resize(aggs.size());
-      groups_.push_back(std::move(g));
-    }
-    Group& group = groups_[it->second];
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      AggState& st = group.states[a];
-      const AggState& os = og.states[a];
+  const size_t nk = group_exprs_->size();
+  const size_t naggs = aggs.size();
+  const std::vector<const ColumnVector*> no_cols;
+  for (uint32_t og = 0; og < other.index_.size(); ++og) {
+    size_t g = GroupFor(other.index_.key(og), other.index_.hash(og), no_cols,
+                        0, other.keys_.data() + og * nk);
+    for (size_t a = 0; a < naggs; ++a) {
+      AggState& st = states_[g * naggs + a];
+      const AggState& os = other.states_[og * naggs + a];
       st.count += os.count;
       st.isum += os.isum;
-      st.sum += os.sum;
+      st.sum.Merge(os.sum);
       if (os.any) {
         // `other` is the later part of the stream: on ties keep the value
         // already here, exactly as the serial first-encounter fold does.
-        if (!st.any || os.min.Compare(st.min) < 0) st.min = os.min;
-        if (!st.any || os.max.Compare(st.max) > 0) st.max = os.max;
+        int cmp = os.best.Compare(st.best);
+        bool is_min = aggs[a].fn == AggSpec::Fn::kMin;
+        if (!st.any || (is_min ? cmp < 0 : cmp > 0)) st.best = os.best;
         st.any = true;
       }
     }
@@ -599,18 +730,57 @@ Value AggAccumulator::Finalize(const AggSpec& spec, const AggState& st) const {
       return Value::Int64(st.count);
     case AggSpec::Fn::kSum:
       if (st.count == 0) return Value::Null(spec.OutputType());
+      // An INT64 sum past the int64 range wraps, as int64 addition would.
       return spec.arg->result_type() == ValueType::kInt64
-                 ? Value::Int64(st.isum)
-                 : Value::Double(st.sum);
-    case AggSpec::Fn::kAvg:
+                 ? Value::Int64(static_cast<int64_t>(
+                       static_cast<unsigned __int128>(st.isum)))
+                 : Value::Double(st.sum.Result());
+    case AggSpec::Fn::kAvg: {
       if (st.count == 0) return Value::Null(ValueType::kDouble);
-      return Value::Double(st.sum / static_cast<double>(st.count));
+      // Both sums are exact; the conversion rounds them once.
+      double sum = spec.arg->result_type() == ValueType::kInt64
+                       ? static_cast<double>(st.isum)
+                       : st.sum.Result();
+      return Value::Double(sum / static_cast<double>(st.count));
+    }
     case AggSpec::Fn::kMin:
-      return st.any ? st.min : Value::Null(spec.OutputType());
     case AggSpec::Fn::kMax:
-      return st.any ? st.max : Value::Null(spec.OutputType());
+      return st.any ? st.best : Value::Null(spec.OutputType());
   }
   return Value::Null();
+}
+
+bool AggAccumulator::EmitBatch(size_t* pos, Batch* out) const {
+  const std::vector<ExprPtr>& group_exprs = *group_exprs_;
+  const std::vector<AggSpec>& aggs = *aggs_;
+  const size_t nk = group_exprs.size();
+  const size_t naggs = aggs.size();
+  const size_t ngroups = num_groups();
+  bool synth_empty = nk == 0 && ngroups == 0 && *pos == 0;
+  if (!synth_empty && *pos >= ngroups) return false;
+
+  *out = EmptyBatch(AggOutputTypes(group_exprs, aggs));
+  if (synth_empty) {
+    // Global aggregate over zero rows still yields one output row.
+    AggState empty;
+    for (size_t a = 0; a < naggs; ++a) {
+      out->columns[a].AppendValue(Finalize(aggs[a], empty));
+    }
+    ++*pos;
+    return true;
+  }
+  size_t end = std::min(ngroups, *pos + kDefaultBatchRows);
+  for (; *pos < end; ++*pos) {
+    const size_t g = *pos;
+    size_t c = 0;
+    for (size_t k = 0; k < nk; ++k) {
+      out->columns[c++].AppendValue(keys_[g * nk + k]);
+    }
+    for (size_t a = 0; a < naggs; ++a) {
+      out->columns[c++].AppendValue(Finalize(aggs[a], states_[g * naggs + a]));
+    }
+  }
+  return true;
 }
 
 bool HashAggOp::NextBatch(Batch* out) {
@@ -619,36 +789,7 @@ bool HashAggOp::NextBatch(Batch* out) {
     while (child_->NextBatchTimed(&in)) acc_.Consume(in);
     done_ = true;
   }
-  const std::vector<AggAccumulator::Group>& groups = acc_.groups();
-  bool synth_empty =
-      group_exprs_.empty() && groups.empty() && emit_pos_ == 0;
-  if (!synth_empty && emit_pos_ >= groups.size()) return false;
-
-  std::vector<ValueType> types = OutputTypes();
-  out->columns.clear();
-  out->columns.reserve(types.size());
-  for (ValueType t : types) out->columns.emplace_back(t);
-  if (synth_empty) {
-    // Global aggregate over zero rows still yields one output row.
-    AggAccumulator::AggState empty;
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      out->columns[a].AppendValue(acc_.Finalize(aggs_[a], empty));
-    }
-    ++emit_pos_;
-    return true;
-  }
-  size_t end = std::min(groups.size(), emit_pos_ + kDefaultBatchRows);
-  for (; emit_pos_ < end; ++emit_pos_) {
-    const AggAccumulator::Group& g = groups[emit_pos_];
-    size_t c = 0;
-    for (size_t k = 0; k < group_exprs_.size(); ++k) {
-      out->columns[c++].AppendValue(g.keys[k]);
-    }
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      out->columns[c++].AppendValue(acc_.Finalize(aggs_[a], g.states[a]));
-    }
-  }
-  return true;
+  return acc_.EmitBatch(&emit_pos_, out);
 }
 
 // ------------------------------------------------------------- HashJoinOp
@@ -660,7 +801,7 @@ std::string HashJoinOp::Describe() const {
     out += "$" + std::to_string(build_keys_[i]) + "=$" +
            std::to_string(probe_keys_[i]);
   }
-  return out + ")";
+  return out + out_.Describe() + ")";
 }
 std::vector<const PhysicalOp*> HashJoinOp::Children() const {
   return {build_.get(), probe_.get()};
@@ -669,76 +810,125 @@ std::vector<const PhysicalOp*> HashJoinOp::Children() const {
 
 HashJoinOp::HashJoinOp(PhysicalOpPtr build, PhysicalOpPtr probe,
                        std::vector<int> build_keys,
-                       std::vector<int> probe_keys)
+                       std::vector<int> probe_keys, std::vector<int> output)
     : build_(std::move(build)),
       probe_(std::move(probe)),
       build_keys_(std::move(build_keys)),
-      probe_keys_(std::move(probe_keys)) {
+      probe_keys_(std::move(probe_keys)),
+      out_(std::move(output), build_->OutputTypes(), probe_->OutputTypes()) {
   OLTAP_CHECK(build_keys_.size() == probe_keys_.size());
 }
 
 std::vector<ValueType> HashJoinOp::OutputTypes() const {
-  std::vector<ValueType> types = build_->OutputTypes();
-  for (ValueType t : probe_->OutputTypes()) types.push_back(t);
-  return types;
+  return out_.types();
 }
 
 void HashJoinOp::Open() {
   probe_->OpenTimed();
-  build_rows_ = CollectRows(build_.get());  // CollectRows opens the child
-  table_.clear();
-  Row key_row(build_keys_.size());
-  for (size_t i = 0; i < build_rows_.size(); ++i) {
-    bool has_null = false;
-    for (size_t k = 0; k < build_keys_.size(); ++k) {
-      key_row[k] = build_rows_[i][build_keys_[k]];
-      has_null |= key_row[k].is_null();
-    }
-    if (has_null) continue;  // NULL keys never join
-    table_[HashKeyOf(key_row)].push_back(i);
+  build_side_ = CollectBatch(build_.get());  // CollectBatch opens the child
+  table_ = JoinTable();
+  std::vector<const ColumnVector*> keys = KeyColumns(build_side_, build_keys_);
+  std::string key;
+  for (size_t i = 0; i < build_side_.num_rows(); ++i) {
+    if (EncodeKeyAt(keys, i, &key)) continue;  // NULL keys never join
+    table_.Add(key, KeyIndex::Hash(key), static_cast<uint32_t>(i));
   }
+  table_.Finish();
   probe_pos_ = 0;
   probe_done_ = false;
   probe_batch_.columns.clear();
+  build_match_.clear();
+  probe_match_.clear();
 }
 
 bool HashJoinOp::NextBatch(Batch* out) {
-  std::vector<ValueType> types = OutputTypes();
-  out->columns.clear();
-  out->columns.reserve(types.size());
-  for (ValueType t : types) out->columns.emplace_back(t);
-
-  size_t emitted = 0;
-  Row key_row(probe_keys_.size());
-  while (emitted < kDefaultBatchRows) {
+  *out = EmptyBatch(out_.types());
+  // Matches are collected per probe batch and emitted column by column.
+  auto emit_matches = [&] {
+    out_.Append(build_side_, build_match_, probe_batch_, probe_match_, out);
+    build_match_.clear();
+    probe_match_.clear();
+  };
+  std::vector<const ColumnVector*> keys = KeyColumns(probe_batch_, probe_keys_);
+  std::string key;
+  while (out->num_rows() + build_match_.size() < kDefaultBatchRows) {
     if (probe_pos_ >= probe_batch_.num_rows()) {
+      emit_matches();
       if (probe_done_ || !probe_->NextBatchTimed(&probe_batch_)) {
         probe_done_ = true;
         break;
       }
       probe_pos_ = 0;
+      keys = KeyColumns(probe_batch_, probe_keys_);
       continue;
     }
     size_t i = probe_pos_++;
-    bool has_null = false;
-    for (size_t k = 0; k < probe_keys_.size(); ++k) {
-      key_row[k] = probe_batch_.columns[probe_keys_[k]].GetValue(i);
-      has_null |= key_row[k].is_null();
-    }
-    if (has_null) continue;
-    auto it = table_.find(HashKeyOf(key_row));
-    if (it == table_.end()) continue;
-    for (size_t bi : it->second) {
-      const Row& b = build_rows_[bi];
-      size_t c = 0;
-      for (const Value& v : b) out->columns[c++].AppendValue(v);
-      for (size_t pc = 0; pc < probe_batch_.num_columns(); ++pc) {
-        out->columns[c++].AppendValue(probe_batch_.columns[pc].GetValue(i));
-      }
-      ++emitted;
+    if (EncodeKeyAt(keys, i, &key)) continue;
+    auto [first, last] = table_.Find(key, KeyIndex::Hash(key));
+    for (const uint32_t* b = first; b != last; ++b) {
+      build_match_.push_back(*b);
+      probe_match_.push_back(static_cast<uint32_t>(i));
     }
   }
-  return emitted > 0;
+  emit_matches();
+  return out->num_rows() > 0;
+}
+
+std::vector<const ColumnVector*> KeyColumns(const Batch& batch,
+                                            const std::vector<int>& cols) {
+  std::vector<const ColumnVector*> out;
+  if (batch.columns.empty()) return out;
+  out.reserve(cols.size());
+  for (int c : cols) out.push_back(&batch.columns[static_cast<size_t>(c)]);
+  return out;
+}
+
+JoinProjection::JoinProjection(std::vector<int> output,
+                               const std::vector<ValueType>& build,
+                               const std::vector<ValueType>& probe)
+    : output_(std::move(output)) {
+  const int nb = static_cast<int>(build.size());
+  const int n = nb + static_cast<int>(probe.size());
+  for (int c = 0; c < n; ++c) {
+    if (!output_.empty() &&
+        !std::binary_search(output_.begin(), output_.end(), c)) {
+      continue;
+    }
+    if (c < nb) {
+      build_cols_.push_back(c);
+      types_.push_back(build[static_cast<size_t>(c)]);
+    } else {
+      probe_cols_.push_back(c - nb);
+      types_.push_back(probe[static_cast<size_t>(c - nb)]);
+    }
+  }
+}
+
+void JoinProjection::Append(const Batch& build,
+                            const std::vector<uint32_t>& build_rows,
+                            const Batch& probe,
+                            const std::vector<uint32_t>& probe_rows,
+                            Batch* out) const {
+  if (build_rows.empty()) return;
+  size_t k = 0;
+  for (int c : build_cols_) {
+    out->columns[k++].AppendGather(build.columns[static_cast<size_t>(c)],
+                                   build_rows.data(), build_rows.size());
+  }
+  for (int c : probe_cols_) {
+    out->columns[k++].AppendGather(probe.columns[static_cast<size_t>(c)],
+                                   probe_rows.data(), probe_rows.size());
+  }
+}
+
+std::string JoinProjection::Describe() const {
+  if (output_.empty()) return "";
+  std::string out = ", cols=[";
+  for (size_t i = 0; i < output_.size(); ++i) {
+    if (i > 0) out += ",";
+    out += "$" + std::to_string(output_[i]);
+  }
+  return out + "]";
 }
 
 // ----------------------------------------------------------------- SortOp
@@ -901,9 +1091,7 @@ bool LimitOp::NextBatch(Batch* out) {
     out->columns.reserve(in.num_columns());
     for (size_t c = 0; c < in.num_columns(); ++c) {
       ColumnVector cv(in.columns[c].type());
-      for (size_t r = 0; r < take; ++r) {
-        cv.AppendValue(in.columns[c].GetValue(r));
-      }
+      for (size_t r = 0; r < take; ++r) cv.AppendFrom(in.columns[c], r);
       out->columns.push_back(std::move(cv));
     }
   }

@@ -3,12 +3,13 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bitvector.h"
+#include "common/exact_sum.h"
 #include "exec/batch.h"
 #include "exec/expr.h"
+#include "exec/key_index.h"
 #include "obs/trace.h"
 #include "storage/column_store.h"
 #include "storage/table.h"
@@ -78,6 +79,47 @@ obs::QueryProfile BuildQueryProfile(const PhysicalOp* root);
 
 using PhysicalOpPtr = std::unique_ptr<PhysicalOp>;
 
+// The columnar-scan plan shared by ScanOp and ParallelScanOp: the
+// pushdown split of the predicate into (column <op> const) kernels and a
+// residual, the columns each main-fragment batch gathers (projection ∪
+// residual refs), and the residual remapped onto those gathered columns.
+struct ColumnScanPlan {
+  // `predicate` and `projection` use table-schema indexes.
+  void Init(const ExprPtr& predicate, const std::vector<int>& projection,
+            size_t num_schema_columns);
+  // Main-fragment selection: MVCC visibility mask, then the zone-pruned
+  // pushed kernels over whole segments.
+  void Select(const MainFragment& main, Timestamp read_ts, BitVector* sel,
+              size_t* zones_pruned) const;
+  // Gathers the needed columns at the ascending row ids `rids` with typed
+  // decode, applies the residual, and writes the projected survivors to
+  // `out` (replaced).
+  void EmitMain(const MainFragment& main, const std::vector<int>& projection,
+                const std::vector<uint32_t>& rids, Batch* out) const;
+
+  std::vector<Expr::ColumnPredicate> pushed;
+  ExprPtr residual;
+  std::vector<int> needed;           // sorted, unique
+  std::vector<int> schema_to_batch;  // schema index -> gathered position
+  ExprPtr residual_remapped;         // residual over gathered positions
+};
+
+// A batch with one empty column per type.
+Batch EmptyBatch(const std::vector<ValueType>& types);
+
+// Appends the `projection` cells of `row` to `out` if `row` passes
+// `predicate` (null = every row).
+void AppendIfPasses(const Row& row, const ExprPtr& predicate,
+                    const std::vector<int>& projection, Batch* out);
+
+// The row-at-a-time part of a columnar scan: appends the frozen-delta and
+// delta rows visible in `snap` that pass `predicate`, projected, to `out`
+// (in serial scan order); returns the number of visible rows examined.
+// Only projected cells are copied, keeping the delta's read lock short.
+size_t CollectDeltaRows(const ColumnTable::Snapshot& snap,
+                        const ExprPtr& predicate,
+                        const std::vector<int>& projection, Batch* out);
+
 // Table scan with predicate pushdown. For columnar tables, the pushable
 // (column <op> const) conjuncts run as packed-segment kernels with zone-map
 // pruning, the residual predicate runs vectorized per batch, and only the
@@ -85,7 +127,10 @@ using PhysicalOpPtr = std::unique_ptr<PhysicalOp>;
 // a row-wise visible scan.
 //
 // `predicate` refers to columns by *table schema* index; `projection`
-// selects and orders the output columns (empty = all columns).
+// selects and orders the output columns (empty = all columns). The
+// optimizer passes the columns the statement references, so a scan reads
+// only those; EXPLAIN lists them as cols=[...] when that is not the full
+// width.
 class ScanOp final : public PhysicalOp {
  public:
   // Which mirror of a dual-format table to read. kAuto is the historical
@@ -121,24 +166,16 @@ class ScanOp final : public PhysicalOp {
   Path path_ = Path::kAuto;
   std::vector<ValueType> out_types_;
 
-  // Pushdown split (columnar path).
-  std::vector<Expr::ColumnPredicate> pushed_;
-  ExprPtr residual_;
-  // Columns actually gathered from the main (projection ∪ residual refs),
-  // and the schema-index → gathered-batch-position map.
-  std::vector<int> needed_;
-  std::vector<int> schema_to_batch_;
-  ExprPtr residual_remapped_;  // residual with batch-position columns
+  // Pushdown split and gather plan (columnar path).
+  ColumnScanPlan plan_;
 
   // Columnar scan state.
   bool columnar_ = false;
   std::optional<ColumnTable::Snapshot> snap_;
   BitVector main_sel_;
   size_t main_pos_ = 0;
-  bool delta_done_ = false;
-  std::vector<Row> pending_rows_;  // filtered delta (and row-table) rows
+  Batch pending_;  // filtered, projected delta (or row-table) rows
   size_t pending_pos_ = 0;
-  bool row_scan_done_ = false;
 
   size_t rows_scanned_ = 0;
   size_t zones_pruned_ = 0;
@@ -185,23 +222,26 @@ struct AggSpec {
   ValueType OutputType() const;
 };
 
+// Output types of an aggregation: group keys, then aggregates.
+std::vector<ValueType> AggOutputTypes(const std::vector<ExprPtr>& group_exprs,
+                                      const std::vector<AggSpec>& aggs);
+
 // The hash-aggregation state machine shared by the serial HashAggOp (one
 // instance) and the morsel-parallel aggregate (one instance per morsel,
 // merged in morsel order). Groups are kept in first-seen input order,
 // which is what makes slot-ordered parallel merges reproduce the serial
-// group order exactly.
+// group order exactly. Keys are encoded straight from the batch's typed
+// vectors (EncodeKeyAt) into a KeyIndex, arguments accumulate from the
+// typed arrays, and group storage is flat: nothing is boxed or allocated
+// per row, and a new group costs no allocation of its own.
 class AggAccumulator {
  public:
   struct AggState {
-    double sum = 0;
-    int64_t isum = 0;
+    ExactSum sum;       // SUM / AVG over DOUBLE
+    __int128 isum = 0;  // SUM / AVG over INT64 (exact below 2^64 rows)
     int64_t count = 0;
-    Value min, max;
+    Value best;         // MIN / MAX so far
     bool any = false;
-  };
-  struct Group {
-    Row keys;
-    std::vector<AggState> states;
   };
 
   AggAccumulator() = default;
@@ -213,20 +253,38 @@ class AggAccumulator {
   void Consume(const Batch& batch);
   // Folds `other` into this, treating its input as the stream suffix:
   // new groups append in other's first-seen order, MIN/MAX ties keep this
-  // side's (earlier) value. Exact for COUNT / SUM over int64 / MIN / MAX;
-  // float sums are order-sensitive, so the planner never merges those in
-  // parallel.
+  // side's (earlier) value. Exact for every aggregate: COUNT, integer SUM,
+  // MIN and MAX trivially, SUM/AVG over doubles because ExactSum holds the
+  // exact sum until Finalize rounds it once — so any split of the input
+  // into morsels gives the serial result bit for bit.
   void MergeFrom(const AggAccumulator& other);
   Value Finalize(const AggSpec& spec, const AggState& st) const;
+  // Emits the next batch of finalized groups from *pos (advanced); a
+  // global aggregate over zero rows emits its one row. False when done.
+  bool EmitBatch(size_t* pos, Batch* out) const;
 
-  const std::vector<Group>& groups() const { return groups_; }
+  size_t num_groups() const { return index_.size(); }
   void Clear();
 
  private:
+  // The group of encoded key `key`; a new group takes its key values from
+  // row `row` of `cols`, or from `src_keys` when that is non-null.
+  size_t GroupFor(std::string_view key, uint64_t hash,
+                  const std::vector<const ColumnVector*>& cols, size_t row,
+                  const Value* src_keys);
+  // Folds aggregate `a` over the n rows of the current batch.
+  void ConsumeAgg(size_t a, const ColumnVector* arg, size_t n);
+
   const std::vector<ExprPtr>* group_exprs_ = nullptr;
   const std::vector<AggSpec>* aggs_ = nullptr;
-  std::unordered_map<std::string, size_t> index_;
-  std::vector<Group> groups_;
+  KeyIndex index_;                // encoded group key -> group id
+  std::vector<Value> keys_;       // group g's key values at g * #keys
+  std::vector<AggState> states_;  // group g's states at g * #aggs
+  // Per-batch scratch: the key being encoded and the previous row's, and
+  // each row's group.
+  std::string key_buf_;
+  std::string prev_key_;
+  std::vector<size_t> row_group_;
 };
 
 // Blocking hash aggregation: GROUP BY `group_exprs` with `aggs`. Output
@@ -252,13 +310,42 @@ class HashAggOp final : public PhysicalOp {
   bool done_ = false;
 };
 
+// The key columns of a batch, for EncodeKeyAt (hash joins).
+std::vector<const ColumnVector*> KeyColumns(const Batch& batch,
+                                            const std::vector<int>& cols);
+
+// The output columns of a hash join, shared by HashJoinOp and
+// ParallelHashJoinOp: ascending positions in build ++ probe (empty = all
+// of them; the planner drops the columns nothing above the join reads).
+class JoinProjection {
+ public:
+  JoinProjection(std::vector<int> output, const std::vector<ValueType>& build,
+                 const std::vector<ValueType>& probe);
+
+  const std::vector<ValueType>& types() const { return types_; }
+  // Appends the joined rows (build_rows[k], probe_rows[k]) to `out`, one
+  // typed gather per output column.
+  void Append(const Batch& build, const std::vector<uint32_t>& build_rows,
+              const Batch& probe, const std::vector<uint32_t>& probe_rows,
+              Batch* out) const;
+  // ", cols=[$0,$3]" when columns were dropped, else empty.
+  std::string Describe() const;
+
+ private:
+  std::vector<int> output_;      // as passed (empty = all)
+  std::vector<int> build_cols_;  // emitted build columns, then
+  std::vector<int> probe_cols_;  // emitted probe columns
+  std::vector<ValueType> types_;
+};
+
 // In-memory hash join (inner equi-join): materializes the build (left)
 // side, streams the probe (right) side. Output = left columns ++ right
-// columns.
+// columns, or the ascending subset `output` of those positions.
 class HashJoinOp final : public PhysicalOp {
  public:
   HashJoinOp(PhysicalOpPtr build, PhysicalOpPtr probe,
-             std::vector<int> build_keys, std::vector<int> probe_keys);
+             std::vector<int> build_keys, std::vector<int> probe_keys,
+             std::vector<int> output = {});
 
   void Open() override;
   bool NextBatch(Batch* out) override;
@@ -271,16 +358,18 @@ class HashJoinOp final : public PhysicalOp {
   PhysicalOpPtr probe_;
   std::vector<int> build_keys_;
   std::vector<int> probe_keys_;
+  JoinProjection out_;
 
-  std::vector<Row> build_rows_;
+  Batch build_side_;  // the materialized build input, columnar
   // Matches per key in ascending build-row order: duplicate-key emission
-  // order is then deterministic (unordered_multimap's equal_range order is
-  // implementation-defined), which the parallel partitioned build
+  // order is then deterministic, which the parallel partitioned build
   // reproduces exactly.
-  std::unordered_map<std::string, std::vector<size_t>> table_;
+  JoinTable table_;
   Batch probe_batch_;
   size_t probe_pos_ = 0;
   bool probe_done_ = false;
+  // Matched (build row, probe row) pairs of probe_batch_ not yet emitted.
+  std::vector<uint32_t> build_match_, probe_match_;
 };
 
 // Full sort (blocking). keys = (output column index, descending?).
@@ -348,8 +437,16 @@ class LimitOp final : public PhysicalOp {
   size_t emitted_ = 0;
 };
 
+// ", cols=[a,b]" naming the projected columns of a scan that reads fewer
+// than all of `schema`'s columns; empty for a full-width projection.
+std::string DescribeProjection(const Schema& schema,
+                               const std::vector<int>& projection);
+
 // Runs an operator tree to completion, collecting all rows.
 std::vector<Row> CollectRows(PhysicalOp* op);
+// The same, as one columnar batch (typed concatenation, no boxing).
+Batch CollectBatch(PhysicalOp* op);
+
 
 // Serialized group-key encoding shared by aggregation and join (distinct
 // from storage key encoding: order is irrelevant, only equality).

@@ -1,6 +1,6 @@
 #include "exec/parallel/morsel.h"
 
-#include <chrono>
+#include <algorithm>
 #include <condition_variable>
 #include <mutex>
 #include <utility>
@@ -34,6 +34,25 @@ void RunOnWorkers(ThreadPool* pool, size_t dop,
   worker(0);
   std::unique_lock<std::mutex> lock(done_mu);
   done_cv.wait(lock, [&] { return done == helpers; });
+}
+
+// ----------------------------------------------------------- DriveAccount
+
+void DriveAccount::Emit(const MorselSink& sink, size_t slot, Batch&& batch) {
+  rows_.fetch_add(batch.num_rows(), std::memory_order_relaxed);
+  batches_.fetch_add(1, std::memory_order_relaxed);
+  uint64_t t0 = obs::MonotonicNanos();
+  sink(slot, std::move(batch));
+  sink_ns_.fetch_add(obs::MonotonicNanos() - t0, std::memory_order_relaxed);
+}
+
+uint64_t DriveAccount::InclusiveNs(const DriveTiming& t) const {
+  if (t.busy_ns == 0) return 0;
+  uint64_t sink = std::min(sink_ns_.load(std::memory_order_relaxed),
+                           t.busy_ns);
+  return static_cast<uint64_t>(static_cast<double>(t.wall_ns) *
+                               static_cast<double>(t.busy_ns - sink) /
+                               static_cast<double>(t.busy_ns));
 }
 
 // ------------------------------------------------------------- SlotBuffer
@@ -76,43 +95,35 @@ ParallelFilterOp::ParallelFilterOp(PhysicalOpPtr child, ExprPtr predicate,
   OLTAP_CHECK(predicate_ != nullptr);
 }
 
-void ParallelFilterOp::PrepareMorsels() { child_src_->PrepareMorsels(); }
+void ParallelFilterOp::Prepare() { child_src_->PrepareMorsels(); }
 
 size_t ParallelFilterOp::slots() const { return child_src_->slots(); }
 
-void ParallelFilterOp::Drive(const MorselSink& sink) {
-  DriveInternal(sink, /*account=*/true);
+DriveTiming ParallelFilterOp::Drive(const MorselSink& sink) {
+  return DriveInternal(sink, /*account=*/true);
 }
 
-void ParallelFilterOp::DriveInternal(const MorselSink& sink, bool account) {
+DriveTiming ParallelFilterOp::DriveInternal(const MorselSink& sink,
+                                            bool account) {
   PrepareMorsels();
-  std::atomic<size_t> rows{0};
-  std::atomic<size_t> batches{0};
-  auto t0 = std::chrono::steady_clock::now();
-  child_src_->Drive([&](size_t slot, Batch&& in) {
+  DriveAccount acct;
+  DriveTiming t = child_src_->Drive([&](size_t slot, Batch&& in) {
     BitVector keep;
     predicate_->EvalPredicate(in, &keep);
     if (keep.CountSet() == 0) return;
     Batch out;
     out.columns.reserve(in.num_columns());
-    for (size_t c = 0; c < in.num_columns(); ++c) {
-      ColumnVector cv(in.columns[c].type());
-      for (size_t r = keep.FindNextSet(0); r < keep.size();
-           r = keep.FindNextSet(r + 1)) {
-        cv.AppendValue(in.columns[c].GetValue(r));
-      }
-      out.columns.push_back(std::move(cv));
+    for (const ColumnVector& col : in.columns) {
+      out.columns.emplace_back(col.type());
+      out.columns.back().AppendSelected(col, keep);
     }
-    rows.fetch_add(out.num_rows(), std::memory_order_relaxed);
-    batches.fetch_add(1, std::memory_order_relaxed);
-    sink(slot, std::move(out));
+    acct.Emit(sink, slot, std::move(out));
   });
   if (account) {
-    auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count();
-    AccountDriven(rows.load(), batches.load(), static_cast<uint64_t>(ns));
+    AccountDriven(acct.rows(), acct.batches(),
+                  prepare_ns() + acct.InclusiveNs(t));
   }
+  return t;
 }
 
 void ParallelFilterOp::Open() {

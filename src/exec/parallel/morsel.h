@@ -1,6 +1,8 @@
 #ifndef OLTAP_EXEC_PARALLEL_MORSEL_H_
 #define OLTAP_EXEC_PARALLEL_MORSEL_H_
 
+#include <atomic>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -45,6 +47,37 @@ struct ParallelContext {
 // order.
 using MorselSink = std::function<void(size_t slot, Batch&& batch)>;
 
+// What the leaf of a fused pipeline measured over one drive: its wall
+// time and the total worker time inside it (the sum over workers).
+struct DriveTiming {
+  uint64_t wall_ns = 0;
+  uint64_t busy_ns = 0;
+};
+
+// EXPLAIN ANALYZE accounting of a fused operator. Its sink runs the
+// downstream operators' work inside the same workers, so the operator
+// counts what it emits and times every call into the sink; its inclusive
+// time is then its serial prepare plus the share of the drive's wall time
+// that its workers spent outside the sink (itself and its upstream).
+// Downstream operators keep the rest, so every EXPLAIN ANALYZE self time
+// stays >= 0 and the self times add up to the root's total.
+class DriveAccount {
+ public:
+  // Calls sink(slot, batch), counting the batch and timing the call.
+  void Emit(const MorselSink& sink, size_t slot, Batch&& batch);
+  uint64_t rows() const { return rows_.load(std::memory_order_relaxed); }
+  uint64_t batches() const {
+    return batches_.load(std::memory_order_relaxed);
+  }
+  // Wall-time share of the operator and its upstream over `t`.
+  uint64_t InclusiveNs(const DriveTiming& t) const;
+
+ private:
+  std::atomic<uint64_t> rows_{0};
+  std::atomic<uint64_t> batches_{0};
+  std::atomic<uint64_t> sink_ns_{0};
+};
+
 // A pipeline stage that can produce its output morsel-parallel. Every
 // implementation is also a PhysicalOp whose Open()/NextBatch() fall back
 // to materializing the slots and streaming them in slot order (used when
@@ -54,16 +87,33 @@ class MorselSource {
   virtual ~MorselSource() = default;
 
   // Serial preparation on the query thread (snapshot, pushdown, hash
-  // build). After this, slots() is valid. Idempotent.
-  virtual void PrepareMorsels() = 0;
+  // build). After this, slots() is valid. Idempotent; the first call's
+  // wall time is kept for EXPLAIN ANALYZE.
+  void PrepareMorsels() {
+    if (prepared_) return;
+    prepared_ = true;
+    uint64_t t0 = obs::MonotonicNanos();
+    Prepare();
+    prepare_ns_ = obs::MonotonicNanos() - t0;
+  }
+  uint64_t prepare_ns() const { return prepare_ns_; }
 
   // Number of output slots (morsels) this source will produce.
   virtual size_t slots() const = 0;
 
   // Produces every slot, calling `sink` from up to dop workers. Returns
   // after all slots are produced (worker completion synchronizes with the
-  // return, so the caller may read sink-written state without locks).
-  virtual void Drive(const MorselSink& sink) = 0;
+  // return, so the caller may read sink-written state without locks),
+  // with the leaf's timing of the drive.
+  virtual DriveTiming Drive(const MorselSink& sink) = 0;
+
+ protected:
+  // The preparation itself (runs once, from PrepareMorsels).
+  virtual void Prepare() = 0;
+
+ private:
+  bool prepared_ = false;
+  uint64_t prepare_ns_ = 0;
 };
 
 // Runs worker(worker_index) on `dop` workers total: dop-1 pool tasks plus
@@ -106,12 +156,12 @@ class ParallelFilterOp final : public PhysicalOp, public MorselSource {
   std::string Describe() const override;
   std::vector<const PhysicalOp*> Children() const override;
 
-  void PrepareMorsels() override;
   size_t slots() const override;
-  void Drive(const MorselSink& sink) override;
+  DriveTiming Drive(const MorselSink& sink) override;
 
  private:
-  void DriveInternal(const MorselSink& sink, bool account);
+  void Prepare() override;
+  DriveTiming DriveInternal(const MorselSink& sink, bool account);
 
   PhysicalOpPtr child_;
   MorselSource* child_src_ = nullptr;

@@ -1,28 +1,8 @@
 #include "exec/parallel/parallel_agg.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 
 namespace oltap {
-
-bool AggsParallelMergeable(const std::vector<AggSpec>& aggs) {
-  for (const AggSpec& a : aggs) {
-    switch (a.fn) {
-      case AggSpec::Fn::kCountStar:
-      case AggSpec::Fn::kCount:
-      case AggSpec::Fn::kMin:
-      case AggSpec::Fn::kMax:
-        break;
-      case AggSpec::Fn::kSum:
-        if (a.arg->result_type() != ValueType::kInt64) return false;
-        break;
-      case AggSpec::Fn::kAvg:
-        return false;
-    }
-  }
-  return true;
-}
 
 ParallelHashAggOp::ParallelHashAggOp(PhysicalOpPtr child,
                                      std::vector<ExprPtr> group_exprs,
@@ -34,20 +14,15 @@ ParallelHashAggOp::ParallelHashAggOp(PhysicalOpPtr child,
       ctx_(ctx) {
   src_ = dynamic_cast<MorselSource*>(child_.get());
   OLTAP_CHECK(src_ != nullptr);
-  OLTAP_CHECK(AggsParallelMergeable(aggs_));
 }
 
 std::vector<ValueType> ParallelHashAggOp::OutputTypes() const {
-  std::vector<ValueType> types;
-  for (const ExprPtr& g : group_exprs_) types.push_back(g->result_type());
-  for (const AggSpec& a : aggs_) types.push_back(a.OutputType());
-  return types;
+  return AggOutputTypes(group_exprs_, aggs_);
 }
 
 void ParallelHashAggOp::Open() {
   merged_.Clear();
   emit_pos_ = 0;
-  done_ = false;
 
   src_->PrepareMorsels();
   size_t num_slots = src_->slots();
@@ -61,40 +36,10 @@ void ParallelHashAggOp::Open() {
   // Slot order == serial row-stream order, so merging ascending
   // reproduces the serial first-seen group order exactly.
   for (const AggAccumulator& a : accs) merged_.MergeFrom(a);
-  done_ = true;
 }
 
 bool ParallelHashAggOp::NextBatch(Batch* out) {
-  const std::vector<AggAccumulator::Group>& groups = merged_.groups();
-  bool synth_empty =
-      group_exprs_.empty() && groups.empty() && emit_pos_ == 0;
-  if (!synth_empty && emit_pos_ >= groups.size()) return false;
-
-  std::vector<ValueType> types = OutputTypes();
-  out->columns.clear();
-  out->columns.reserve(types.size());
-  for (ValueType t : types) out->columns.emplace_back(t);
-  if (synth_empty) {
-    // Global aggregate over zero rows still yields one output row.
-    AggAccumulator::AggState empty;
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      out->columns[a].AppendValue(merged_.Finalize(aggs_[a], empty));
-    }
-    ++emit_pos_;
-    return true;
-  }
-  size_t end = std::min(groups.size(), emit_pos_ + kDefaultBatchRows);
-  for (; emit_pos_ < end; ++emit_pos_) {
-    const AggAccumulator::Group& g = groups[emit_pos_];
-    size_t c = 0;
-    for (size_t k = 0; k < group_exprs_.size(); ++k) {
-      out->columns[c++].AppendValue(g.keys[k]);
-    }
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      out->columns[c++].AppendValue(merged_.Finalize(aggs_[a], g.states[a]));
-    }
-  }
-  return true;
+  return merged_.EmitBatch(&emit_pos_, out);
 }
 
 std::string ParallelHashAggOp::Describe() const {

@@ -8,23 +8,16 @@
 
 namespace oltap {
 
-// True when every aggregate can be pre-aggregated per morsel and merged
-// exactly: COUNT(*) / COUNT / MIN / MAX always, SUM only over int64
-// (float addition is order-sensitive, so AVG and SUM(double) keep the
-// serial fold — the planner places a serial HashAggOp over the parallel
-// child instead, which is still bit-exact because the child reproduces
-// the serial row stream).
-bool AggsParallelMergeable(const std::vector<AggSpec>& aggs);
-
 // Morsel-parallel hash aggregation: the child (a MorselSource) feeds each
 // slot into its own AggAccumulator — worker-local, no sharing — and after
 // the drive the per-slot accumulators merge in ascending slot order.
-// Since slot order is the serial row-stream order and groups are kept in
-// first-seen order, the merged group order (and every mergeable aggregate
-// value) is byte-identical to the serial HashAggOp at any DOP.
+// Since slot order is the serial row-stream order, groups are kept in
+// first-seen order, and every aggregate merges exactly (float sums are
+// held exact until finalized), the output is byte-identical to the serial
+// HashAggOp at any DOP.
 class ParallelHashAggOp final : public PhysicalOp {
  public:
-  // `child` must implement MorselSource; `aggs` must all be mergeable.
+  // `child` must implement MorselSource.
   ParallelHashAggOp(PhysicalOpPtr child, std::vector<ExprPtr> group_exprs,
                     std::vector<AggSpec> aggs, ParallelContext ctx);
 
@@ -43,7 +36,6 @@ class ParallelHashAggOp final : public PhysicalOp {
 
   AggAccumulator merged_{&group_exprs_, &aggs_};
   size_t emit_pos_ = 0;
-  bool done_ = false;
 };
 
 }  // namespace oltap

@@ -1,8 +1,9 @@
 #include "exec/parallel/parallel_join.h"
 
 #include <algorithm>
-#include <chrono>
+#include <atomic>
 #include <functional>
+#include <string>
 
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -13,73 +14,70 @@ ParallelHashJoinOp::ParallelHashJoinOp(PhysicalOpPtr build,
                                        PhysicalOpPtr probe,
                                        std::vector<int> build_keys,
                                        std::vector<int> probe_keys,
-                                       ParallelContext ctx)
+                                       ParallelContext ctx,
+                                       std::vector<int> output)
     : build_(std::move(build)),
       probe_(std::move(probe)),
       build_keys_(std::move(build_keys)),
       probe_keys_(std::move(probe_keys)),
-      ctx_(ctx) {
+      ctx_(ctx),
+      out_(std::move(output), build_->OutputTypes(), probe_->OutputTypes()) {
   OLTAP_CHECK(build_keys_.size() == probe_keys_.size());
   probe_src_ = dynamic_cast<MorselSource*>(probe_.get());
   OLTAP_CHECK(probe_src_ != nullptr);
 }
 
 std::vector<ValueType> ParallelHashJoinOp::OutputTypes() const {
-  std::vector<ValueType> types = build_->OutputTypes();
-  for (ValueType t : probe_->OutputTypes()) types.push_back(t);
-  return types;
+  return out_.types();
 }
 
 void ParallelHashJoinOp::BuildTable() {
-  build_rows_ = CollectRows(build_.get());
-  size_t n = build_rows_.size();
+  build_side_ = CollectBatch(build_.get());
+  size_t n = build_side_.num_rows();
   nparts_ = std::max<size_t>(1, ctx_.dop);
   parts_.assign(nparts_, {});
   if (n == 0) return;
 
-  // Phase 1: per-row key encoding + hashing, chunked across the pool.
-  std::vector<std::string> keys(n);
+  // Chunks of [0, count) claimed by up to dop workers, the query thread
+  // included.
+  auto for_chunks = [&](size_t count, size_t chunk,
+                        const std::function<void(size_t, size_t)>& fn) {
+    std::atomic<size_t> next{0};
+    RunOnWorkers(ctx_.pool, ctx_.dop, [&](size_t) {
+      for (size_t b = next.fetch_add(chunk); b < count;
+           b = next.fetch_add(chunk)) {
+        fn(b, std::min(count, b + chunk));
+      }
+    });
+  };
+  const std::vector<const ColumnVector*> key_cols =
+      KeyColumns(build_side_, build_keys_);
+  // Phase 1: hash every build key once.
   std::vector<uint64_t> hashes(n);
   std::vector<uint8_t> valid(n, 0);
-  std::hash<std::string> hasher;
-  auto hash_range = [&](size_t begin, size_t end) {
-    Row key_row(build_keys_.size());
+  for_chunks(n, kDefaultBatchRows, [&](size_t begin, size_t end) {
+    std::string key;
     for (size_t i = begin; i < end; ++i) {
-      bool has_null = false;
-      for (size_t k = 0; k < build_keys_.size(); ++k) {
-        key_row[k] = build_rows_[i][build_keys_[k]];
-        has_null |= key_row[k].is_null();
-      }
-      if (has_null) continue;  // NULL keys never join
-      keys[i] = HashKeyOf(key_row);
-      hashes[i] = hasher(keys[i]);
+      if (EncodeKeyAt(key_cols, i, &key)) continue;  // NULLs never join
+      hashes[i] = KeyIndex::Hash(key);
       valid[i] = 1;
     }
-  };
-  // Phase 2: one chunk per partition; each partition scans the hash array
+  });
+  // Phase 2: one worker per partition; each partition scans the hash array
   // and inserts its rows in ascending build-row order.
-  auto insert_parts = [&](size_t pbegin, size_t pend) {
-    for (size_t p = pbegin; p < pend; ++p) {
-      auto& part = parts_[p];
-      for (size_t i = 0; i < n; ++i) {
-        if (valid[i] && hashes[i] % nparts_ == p) {
-          part[std::move(keys[i])].push_back(i);
-        }
-      }
+  for_chunks(nparts_, 1, [&](size_t p, size_t) {
+    JoinTable& part = parts_[p];
+    std::string key;
+    for (size_t i = 0; i < n; ++i) {
+      if (!valid[i] || hashes[i] % nparts_ != p) continue;
+      EncodeKeyAt(key_cols, i, &key);
+      part.Add(key, hashes[i], static_cast<uint32_t>(i));
     }
-  };
-  if (ctx_.pool != nullptr && ctx_.dop >= 2) {
-    ctx_.pool->ParallelForChunked(n, hash_range);
-    ctx_.pool->ParallelForChunked(nparts_, insert_parts);
-  } else {
-    hash_range(0, n);
-    insert_parts(0, nparts_);
-  }
+    part.Finish();
+  });
 }
 
-void ParallelHashJoinOp::PrepareMorsels() {
-  if (prepared_) return;
-  prepared_ = true;
+void ParallelHashJoinOp::Prepare() {
   probe_src_->PrepareMorsels();
   BuildTable();
 }
@@ -88,69 +86,50 @@ size_t ParallelHashJoinOp::slots() const { return probe_src_->slots(); }
 
 void ParallelHashJoinOp::JoinBatch(size_t slot, const Batch& in,
                                    const MorselSink& sink,
-                                   std::atomic<size_t>* rows,
-                                   std::atomic<size_t>* batches) const {
-  std::vector<ValueType> types = OutputTypes();
-  Batch out;
-  auto reset_out = [&] {
-    out.columns.clear();
-    out.columns.reserve(types.size());
-    for (ValueType t : types) out.columns.emplace_back(t);
-  };
+                                   DriveAccount* acct) const {
+  // Matches are collected and emitted column by column, flushed once a
+  // batch's worth has matched (a probe row's matches stay together).
+  std::vector<uint32_t> build_rows, probe_rows;
   auto flush = [&] {
-    if (out.num_rows() == 0) return;
-    rows->fetch_add(out.num_rows(), std::memory_order_relaxed);
-    batches->fetch_add(1, std::memory_order_relaxed);
-    sink(slot, std::move(out));
-    reset_out();
+    if (build_rows.empty()) return;
+    Batch out = EmptyBatch(out_.types());
+    out_.Append(build_side_, build_rows, in, probe_rows, &out);
+    acct->Emit(sink, slot, std::move(out));
+    build_rows.clear();
+    probe_rows.clear();
   };
-  reset_out();
-
-  Row key_row(probe_keys_.size());
-  std::hash<std::string> hasher;
+  const std::vector<const ColumnVector*> key_cols =
+      KeyColumns(in, probe_keys_);
+  std::string key;
   for (size_t i = 0; i < in.num_rows(); ++i) {
-    bool has_null = false;
-    for (size_t k = 0; k < probe_keys_.size(); ++k) {
-      key_row[k] = in.columns[probe_keys_[k]].GetValue(i);
-      has_null |= key_row[k].is_null();
+    if (EncodeKeyAt(key_cols, i, &key)) continue;
+    uint64_t hash = KeyIndex::Hash(key);
+    auto [first, last] = parts_[hash % nparts_].Find(key, hash);
+    for (const uint32_t* b = first; b != last; ++b) {
+      build_rows.push_back(*b);
+      probe_rows.push_back(static_cast<uint32_t>(i));
     }
-    if (has_null) continue;
-    std::string key = HashKeyOf(key_row);
-    const auto& part = parts_[hasher(key) % nparts_];
-    auto it = part.find(key);
-    if (it == part.end()) continue;
-    for (size_t bi : it->second) {
-      const Row& b = build_rows_[bi];
-      size_t c = 0;
-      for (const Value& v : b) out.columns[c++].AppendValue(v);
-      for (size_t pc = 0; pc < in.num_columns(); ++pc) {
-        out.columns[c++].AppendValue(in.columns[pc].GetValue(i));
-      }
-    }
-    if (out.num_rows() >= kDefaultBatchRows) flush();
+    if (build_rows.size() >= kDefaultBatchRows) flush();
   }
   flush();
 }
 
-void ParallelHashJoinOp::Drive(const MorselSink& sink) {
-  DriveInternal(sink, /*account=*/true);
+DriveTiming ParallelHashJoinOp::Drive(const MorselSink& sink) {
+  return DriveInternal(sink, /*account=*/true);
 }
 
-void ParallelHashJoinOp::DriveInternal(const MorselSink& sink,
-                                       bool account) {
+DriveTiming ParallelHashJoinOp::DriveInternal(const MorselSink& sink,
+                                              bool account) {
   PrepareMorsels();
-  std::atomic<size_t> rows{0};
-  std::atomic<size_t> batches{0};
-  auto t0 = std::chrono::steady_clock::now();
-  probe_src_->Drive([&](size_t slot, Batch&& in) {
-    JoinBatch(slot, in, sink, &rows, &batches);
+  DriveAccount acct;
+  DriveTiming t = probe_src_->Drive([&](size_t slot, Batch&& in) {
+    JoinBatch(slot, in, sink, &acct);
   });
   if (account) {
-    auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count();
-    AccountDriven(rows.load(), batches.load(), static_cast<uint64_t>(ns));
+    AccountDriven(acct.rows(), acct.batches(),
+                  prepare_ns() + acct.InclusiveNs(t));
   }
+  return t;
 }
 
 void ParallelHashJoinOp::Open() {
@@ -170,7 +149,7 @@ std::string ParallelHashJoinOp::Describe() const {
     out += "$" + std::to_string(build_keys_[i]) + "=$" +
            std::to_string(probe_keys_[i]);
   }
-  return out + ", dop=" + std::to_string(ctx_.dop) + ")";
+  return out + out_.Describe() + ", dop=" + std::to_string(ctx_.dop) + ")";
 }
 
 std::vector<const PhysicalOp*> ParallelHashJoinOp::Children() const {

@@ -3,16 +3,15 @@
 
 #include <atomic>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/parallel/morsel.h"
 
 namespace oltap {
 
-// Morsel-parallel inner equi-join. The build side is materialized once,
-// then the hash table is built in two parallel phases: (1) per-row key
-// encoding + hashing chunked across the pool, (2) one worker per
+// Morsel-parallel inner equi-join. The build side is materialized once
+// (columnar), then the hash table is built in two parallel phases on the
+// query's workers: (1) per-row key encoding (EncodeKeyAt) + hashing, (2) one worker per
 // partition inserting its rows in ascending build-row order (each key
 // lands in exactly one partition, so insertion order per key matches the
 // serial build — the serial HashJoinOp emits duplicate-key matches in
@@ -23,9 +22,12 @@ namespace oltap {
 class ParallelHashJoinOp final : public PhysicalOp, public MorselSource {
  public:
   // `probe` must implement MorselSource.
+  // `output`: as HashJoinOp's (ascending build ++ probe positions,
+  // empty = all).
   ParallelHashJoinOp(PhysicalOpPtr build, PhysicalOpPtr probe,
                      std::vector<int> build_keys,
-                     std::vector<int> probe_keys, ParallelContext ctx);
+                     std::vector<int> probe_keys, ParallelContext ctx,
+                     std::vector<int> output = {});
 
   void Open() override;
   bool NextBatch(Batch* out) override;
@@ -33,17 +35,16 @@ class ParallelHashJoinOp final : public PhysicalOp, public MorselSource {
   std::string Describe() const override;
   std::vector<const PhysicalOp*> Children() const override;
 
-  void PrepareMorsels() override;
   size_t slots() const override;
-  void Drive(const MorselSink& sink) override;
+  DriveTiming Drive(const MorselSink& sink) override;
 
  private:
-  void DriveInternal(const MorselSink& sink, bool account);
+  void Prepare() override;
+  DriveTiming DriveInternal(const MorselSink& sink, bool account);
   void BuildTable();
   // Joins one probe batch, sinking output in kDefaultBatchRows chunks.
   void JoinBatch(size_t slot, const Batch& in, const MorselSink& sink,
-                 std::atomic<size_t>* rows,
-                 std::atomic<size_t>* batches) const;
+                 DriveAccount* acct) const;
 
   PhysicalOpPtr build_;
   PhysicalOpPtr probe_;
@@ -51,13 +52,13 @@ class ParallelHashJoinOp final : public PhysicalOp, public MorselSource {
   std::vector<int> build_keys_;
   std::vector<int> probe_keys_;
   ParallelContext ctx_;
+  JoinProjection out_;
 
-  std::vector<Row> build_rows_;
+  Batch build_side_;  // the materialized build input, columnar
   size_t nparts_ = 1;
   // Partition p owns keys with hash(key) % nparts_ == p; per-key match
   // lists are in ascending build-row order.
-  std::vector<std::unordered_map<std::string, std::vector<size_t>>> parts_;
-  bool prepared_ = false;
+  std::vector<JoinTable> parts_;
 
   SlotBuffer buf_;
 };

@@ -1,7 +1,6 @@
 #include "exec/parallel/parallel_scan.h"
 
 #include <algorithm>
-#include <chrono>
 #include <numeric>
 
 #include "common/logging.h"
@@ -34,183 +33,68 @@ std::vector<ValueType> ParallelScanOp::OutputTypes() const {
   return out_types_;
 }
 
-void ParallelScanOp::PrepareMorsels() {
-  if (prepared_) return;
-  prepared_ = true;
-
+void ParallelScanOp::Prepare() {
   snap_ = table_->GetColumnSnapshot(read_ts_);
   OLTAP_CHECK(snap_.has_value());
-
-  // Pushdown split, gather plan, and residual remap — same derivation as
-  // the serial ScanOp.
-  pushed_.clear();
-  residual_ = nullptr;
-  if (predicate_ != nullptr) {
-    std::vector<ExprPtr> conjuncts;
-    Expr::SplitConjuncts(predicate_, &conjuncts);
-    std::vector<ExprPtr> residual_terms;
-    for (const ExprPtr& c : conjuncts) {
-      Expr::ColumnPredicate cp;
-      if (c->AsColumnPredicate(&cp)) {
-        pushed_.push_back(cp);
-      } else {
-        residual_terms.push_back(c);
-      }
-    }
-    residual_ = Expr::CombineConjuncts(residual_terms);
-  }
-  needed_ = projection_;
-  CollectExprColumns(residual_, &needed_);
-  std::sort(needed_.begin(), needed_.end());
-  needed_.erase(std::unique(needed_.begin(), needed_.end()), needed_.end());
-  schema_to_batch_.assign(table_->schema().num_columns(), -1);
-  for (size_t i = 0; i < needed_.size(); ++i) {
-    schema_to_batch_[needed_[i]] = static_cast<int>(i);
-  }
-  residual_remapped_ =
-      residual_ == nullptr ? nullptr
-                           : RemapExprColumns(residual_, schema_to_batch_);
+  plan_.Init(predicate_, projection_, table_->schema().num_columns());
 
   // Main-fragment selection: visibility mask, then zone-pruned pushdown
   // kernels over whole segments (cheap relative to the per-row gather that
   // the morsels parallelize).
   const MainFragment& main = *snap_->main;
-  main.VisibleMask(read_ts_, &main_sel_);
   rows_scanned_ += main.num_rows();
-  if (main.num_rows() > 0) {
-    for (const Expr::ColumnPredicate& cp : pushed_) {
-      const ColumnSegment& seg = main.column(cp.column);
-      BitVector hits;
-      size_t pruned = 0;
-      seg.ScanCompareZoned(cp.op, cp.constant, &hits, &pruned);
-      zones_pruned_ += pruned;
-      main_sel_.And(hits);
-    }
-  }
+  plan_.Select(main, read_ts_, &main_sel_, &zones_pruned_);
 
   // Delta (and frozen delta) rows: row-at-a-time with the full predicate,
   // in serial iteration order — they become the single trailing slot.
-  auto consume = [&](uint32_t, const Row& row) {
-    ++rows_scanned_;
-    if (predicate_ != nullptr) {
-      Value v = predicate_->EvalRow(row);
-      if (v.is_null() || !v.AsBool()) return;
-    }
-    pending_rows_.push_back(row);
-  };
-  if (snap_->frozen != nullptr) {
-    snap_->frozen->ForEachVisible(read_ts_, consume);
-  }
-  snap_->delta->ForEachVisible(read_ts_, consume);
+  pending_ = EmptyBatch(out_types_);
+  rows_scanned_ +=
+      CollectDeltaRows(*snap_, predicate_, projection_, &pending_);
 
   num_main_morsels_ = (main.num_rows() + kMorselRows - 1) / kMorselRows;
-  num_slots_ = num_main_morsels_ + (pending_rows_.empty() ? 0 : 1);
+  num_slots_ = num_main_morsels_ + (pending_.num_rows() == 0 ? 0 : 1);
 }
 
 size_t ParallelScanOp::slots() const { return num_slots_; }
 
 void ParallelScanOp::ProduceMainMorsel(size_t m, const MorselSink& sink,
-                                       std::atomic<size_t>* rows,
-                                       std::atomic<size_t>* batches) const {
-  const MainFragment& main = *snap_->main;
-  const Schema& schema = table_->schema();
+                                       DriveAccount* acct) const {
   size_t begin = m * kMorselRows;
   size_t end = std::min(main_sel_.size(), begin + kMorselRows);
 
   size_t pos = main_sel_.FindNextSet(begin);
   std::vector<uint32_t> rids;
+  rids.reserve(kDefaultBatchRows);
   while (pos < end) {
     rids.clear();
-    rids.reserve(kDefaultBatchRows);
     while (pos < end && rids.size() < kDefaultBatchRows) {
       rids.push_back(static_cast<uint32_t>(pos));
       pos = main_sel_.FindNextSet(pos + 1);
     }
-    if (rids.empty()) break;
-
-    // Gather needed columns, evaluate the residual, project — identical
-    // per-row work to ScanOp::EmitMainBatch.
-    Batch full;
-    full.columns.reserve(needed_.size());
-    for (int c : needed_) {
-      ColumnVector cv(schema.column(c).type);
-      cv.Reserve(rids.size());
-      const ColumnSegment& seg = main.column(c);
-      for (uint32_t rid : rids) {
-        if (seg.IsNull(rid)) {
-          cv.AppendNull();
-          continue;
-        }
-        switch (seg.type()) {
-          case ValueType::kInt64:
-            cv.AppendInt64(seg.GetInt64(rid));
-            break;
-          case ValueType::kDouble:
-            cv.AppendDouble(seg.GetDouble(rid));
-            break;
-          case ValueType::kString:
-            cv.AppendString(std::string(seg.GetString(rid)));
-            break;
-        }
-      }
-      full.columns.push_back(std::move(cv));
-    }
-
-    BitVector keep;
-    if (residual_remapped_ != nullptr) {
-      residual_remapped_->EvalPredicate(full, &keep);
-    } else {
-      keep.Resize(full.num_rows());
-      keep.SetAll();
-    }
-    if (keep.CountSet() == 0) continue;
-
+    // Same per-row work as ScanOp::EmitMainBatch.
     Batch out;
-    out.columns.reserve(projection_.size());
-    for (size_t p = 0; p < projection_.size(); ++p) {
-      const ColumnVector& src =
-          full.columns[schema_to_batch_[projection_[p]]];
-      ColumnVector cv(src.type());
-      for (size_t r = keep.FindNextSet(0); r < keep.size();
-           r = keep.FindNextSet(r + 1)) {
-        cv.AppendValue(src.GetValue(r));
-      }
-      out.columns.push_back(std::move(cv));
-    }
-    rows->fetch_add(out.num_rows(), std::memory_order_relaxed);
-    batches->fetch_add(1, std::memory_order_relaxed);
-    sink(m, std::move(out));
+    plan_.EmitMain(*snap_->main, projection_, rids, &out);
+    if (out.num_rows() == 0) continue;
+    acct->Emit(sink, m, std::move(out));
   }
 }
 
 void ParallelScanOp::ProduceDeltaSlot(size_t slot, const MorselSink& sink,
-                                      std::atomic<size_t>* rows,
-                                      std::atomic<size_t>* batches) const {
-  for (size_t base = 0; base < pending_rows_.size();
-       base += kDefaultBatchRows) {
-    size_t end = std::min(pending_rows_.size(), base + kDefaultBatchRows);
+                                      DriveAccount* acct) const {
+  size_t n = pending_.num_rows();
+  for (size_t base = 0; base < n; base += kDefaultBatchRows) {
     Batch out;
-    out.columns.reserve(projection_.size());
-    for (size_t p = 0; p < projection_.size(); ++p) {
-      out.columns.emplace_back(out_types_[p]);
-    }
-    for (size_t i = base; i < end; ++i) {
-      const Row& row = pending_rows_[i];
-      for (size_t p = 0; p < projection_.size(); ++p) {
-        out.columns[p].AppendValue(row[projection_[p]]);
-      }
-    }
-    rows->fetch_add(out.num_rows(), std::memory_order_relaxed);
-    batches->fetch_add(1, std::memory_order_relaxed);
-    sink(slot, std::move(out));
+    out.AppendRows(pending_, base, std::min(n, base + kDefaultBatchRows));
+    acct->Emit(sink, slot, std::move(out));
   }
 }
 
-void ParallelScanOp::Drive(const MorselSink& sink) {
-  DriveInternal(sink, /*account=*/true);
+DriveTiming ParallelScanOp::Drive(const MorselSink& sink) {
+  return DriveInternal(sink, /*account=*/true);
 }
 
-void ParallelScanOp::DriveInternal(const MorselSink& sink, bool account) {
+DriveTiming ParallelScanOp::DriveInternal(const MorselSink& sink,
+                                          bool account) {
   PrepareMorsels();
   static obs::Counter* dispatched =
       obs::MetricsRegistry::Default()->GetCounter("exec.morsel.dispatched");
@@ -218,28 +102,30 @@ void ParallelScanOp::DriveInternal(const MorselSink& sink, bool account) {
       obs::MetricsRegistry::Default()->GetCounter("exec.morsel.rows");
 
   std::atomic<size_t> cursor{0};
-  std::atomic<size_t> rows{0};
-  std::atomic<size_t> batches{0};
-  auto t0 = std::chrono::steady_clock::now();
+  std::atomic<uint64_t> busy_ns{0};
+  DriveAccount acct;
+  const uint64_t t0 = obs::MonotonicNanos();
   size_t total = num_slots_;
   RunOnWorkers(ctx_.pool, ctx_.dop, [&](size_t) {
+    uint64_t w0 = obs::MonotonicNanos();
     for (size_t m = cursor.fetch_add(1, std::memory_order_relaxed);
          m < total; m = cursor.fetch_add(1, std::memory_order_relaxed)) {
       if (m < num_main_morsels_) {
-        ProduceMainMorsel(m, sink, &rows, &batches);
+        ProduceMainMorsel(m, sink, &acct);
       } else {
-        ProduceDeltaSlot(m, sink, &rows, &batches);
+        ProduceDeltaSlot(m, sink, &acct);
       }
     }
+    busy_ns.fetch_add(obs::MonotonicNanos() - w0, std::memory_order_relaxed);
   });
+  DriveTiming t{obs::MonotonicNanos() - t0, busy_ns.load()};
   dispatched->Add(total);
-  morsel_rows->Add(rows.load());
+  morsel_rows->Add(acct.rows());
   if (account) {
-    auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count();
-    AccountDriven(rows.load(), batches.load(), static_cast<uint64_t>(ns));
+    AccountDriven(acct.rows(), acct.batches(),
+                  prepare_ns() + acct.InclusiveNs(t));
   }
+  return t;
 }
 
 void ParallelScanOp::Open() {
@@ -259,6 +145,7 @@ std::string ParallelScanOp::Describe() const {
   std::string out = "ParallelScan(" + table_->name() + " [" +
                     TableFormatToString(table_->format()) + "]";
   if (predicate_ != nullptr) out += ", pred=" + predicate_->ToString();
+  out += DescribeProjection(table_->schema(), projection_);
   out += ", path=column, dop=" + std::to_string(ctx_.dop) + ")";
   return out;
 }

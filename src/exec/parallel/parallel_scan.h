@@ -15,8 +15,8 @@ namespace oltap {
 // Morsel-parallel columnar table scan. The *selection* phase — MVCC
 // visibility mask plus zone-pruned pushdown kernels over whole segments —
 // runs serially in PrepareMorsels() (cheap SWAR over packed data), then
-// the expensive per-row work (gather of needed columns, residual
-// predicate, projection) is parallelized: the main fragment is cut into
+// the expensive per-row work (typed gather of the needed columns only,
+// residual predicate, projection; ColumnScanPlan) is parallelized: the main fragment is cut into
 // kMorselRows-row morsels claimed from a shared atomic cursor, and the
 // filtered delta/frozen rows (already collected during prepare, exactly
 // as the serial ScanOp does) form one trailing slot. Slot m holds
@@ -37,25 +37,23 @@ class ParallelScanOp final : public PhysicalOp, public MorselSource {
   std::string Describe() const override;
   std::vector<const PhysicalOp*> Children() const override;
 
-  void PrepareMorsels() override;
   size_t slots() const override;
-  void Drive(const MorselSink& sink) override;
+  DriveTiming Drive(const MorselSink& sink) override;
 
   size_t rows_scanned() const { return rows_scanned_; }
   size_t zones_pruned() const { return zones_pruned_; }
   const Table* table() const { return table_; }
 
  private:
-  void DriveInternal(const MorselSink& sink, bool account);
+  void Prepare() override;
+  DriveTiming DriveInternal(const MorselSink& sink, bool account);
   // Emits every batch of main-fragment morsel m (gather → residual →
   // project, in kDefaultBatchRows chunks).
   void ProduceMainMorsel(size_t m, const MorselSink& sink,
-                         std::atomic<size_t>* rows,
-                         std::atomic<size_t>* batches) const;
+                         DriveAccount* acct) const;
   // Emits the trailing delta slot (filtered pending rows, projected).
   void ProduceDeltaSlot(size_t slot, const MorselSink& sink,
-                        std::atomic<size_t>* rows,
-                        std::atomic<size_t>* batches) const;
+                        DriveAccount* acct) const;
 
   const Table* table_;
   Timestamp read_ts_;
@@ -64,19 +62,14 @@ class ParallelScanOp final : public PhysicalOp, public MorselSource {
   std::vector<ValueType> out_types_;
   ParallelContext ctx_;
 
-  // Pushdown split + gather plan (same derivation as ScanOp).
-  std::vector<Expr::ColumnPredicate> pushed_;
-  ExprPtr residual_;
-  std::vector<int> needed_;
-  std::vector<int> schema_to_batch_;
-  ExprPtr residual_remapped_;
+  // Pushdown split + gather plan (shared with ScanOp).
+  ColumnScanPlan plan_;
 
   std::optional<ColumnTable::Snapshot> snap_;
   BitVector main_sel_;
-  std::vector<Row> pending_rows_;
+  Batch pending_;  // filtered, projected delta rows (the trailing slot)
   size_t num_main_morsels_ = 0;
   size_t num_slots_ = 0;
-  bool prepared_ = false;
 
   size_t rows_scanned_ = 0;
   size_t zones_pruned_ = 0;

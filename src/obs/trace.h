@@ -80,6 +80,9 @@ struct QueryProfile {
     uint64_t rows = 0;
     uint64_t batches = 0;
     uint64_t time_ns = 0;  // inclusive
+    // Exclusive: time_ns minus the children's time_ns (never negative);
+    // the self times of a tree add up to the root's time_ns.
+    uint64_t self_ns = 0;
     // Planner row estimate for est-vs-actual reporting; < 0 = none.
     double est_rows = -1;
     std::vector<Node> children;
@@ -87,7 +90,7 @@ struct QueryProfile {
   Node root;
 
   // Indented one-line-per-operator rendering:
-  //   HashAgg(...) rows=5 batches=1 time=1.234ms
+  //   HashAgg(...) rows=5 batches=1 time=1.234ms self=0.321ms
   std::string Render() const;
 };
 

@@ -587,6 +587,49 @@ Result<PlannedQuery> PlanSelect(const SelectStmt& stmt,
       }
     }
 
+    // Column pruning: scans and joins output only the columns the
+    // statement still reads above them — the select list (ORDER BY can
+    // only name select-list columns), GROUP BY, aggregate arguments and
+    // HAVING, late filters, and the keys of joins not yet applied.
+    // Scan-local predicates run inside the scan itself.
+    std::vector<bool> used(scope.cols.size(), false);
+    std::function<void(const ParseExpr&)> mark = [&](const ParseExpr& e) {
+      if (e.kind == ParseExpr::Kind::kIdent) {
+        auto idx = scope.Find(e.qualifier, e.name);
+        if (idx.ok()) used[static_cast<size_t>(*idx)] = true;
+      }
+      for (const auto& a : e.args) mark(*a);
+    };
+    if (stmt.items.size() == 1 &&
+        stmt.items[0].expr->kind == ParseExpr::Kind::kStar) {
+      used.assign(used.size(), true);
+    }
+    for (const SelectItem& item : stmt.items) mark(*item.expr);
+    for (const ParseExprPtr& g : stmt.group_by) mark(*g);
+    if (stmt.having != nullptr) mark(*stmt.having);
+    for (const ExprPtr& c : late_filters) {
+      std::vector<int> cols;
+      CollectColumns(c, &cols);
+      for (int col : cols) used[static_cast<size_t>(col)] = true;
+    }
+    // Above the joins only `used` matters; scans also output join keys.
+    const std::vector<bool> used_above_joins = used;
+    for (const EqEdge& e : edges) {
+      used[static_cast<size_t>(e.ga)] = true;
+      used[static_cast<size_t>(e.gb)] = true;
+    }
+    std::vector<std::vector<int>> projections(from.size());
+    for (size_t t = 0; t < from.size(); ++t) {
+      for (int j = 0; j < from[t].width; ++j) {
+        if (used[static_cast<size_t>(from[t].offset + j)]) {
+          projections[t].push_back(j);
+        }
+      }
+      // A batch's row count lives in its first column, so a scan nobody
+      // reads a column of (SELECT COUNT(*) FROM t) still outputs one.
+      if (projections[t].empty()) projections[t].push_back(0);
+    }
+
     // Costed scan with access-path selection (explicit side only for
     // dual-format tables; other formats have exactly one).
     auto make_scan = [&](int t) -> PhysicalOpPtr {
@@ -609,28 +652,39 @@ Result<PlannedQuery> PlanSelect(const SelectStmt& stmt,
           from[t].table->column_table() != nullptr &&
           from[t].table->ApproxRowCount() >= kMinParallelScanRows) {
         auto pscan = std::make_unique<ParallelScanOp>(
-            from[t].table, read_ts, table_preds[t], std::vector<int>{},
-            pctx);
+            from[t].table, read_ts, table_preds[t], projections[t], pctx);
         pscan->set_estimates(rel_rows[t], d.cost);
         any_parallel = true;
         return pscan;
       }
       auto scan = std::make_unique<ScanOp>(from[t].table, read_ts,
-                                           table_preds[t],
-                                           std::vector<int>{}, path);
+                                           table_preds[t], projections[t],
+                                           path);
       scan->set_estimates(rel_rows[t], d.cost);
       out.scans[static_cast<size_t>(t)] = scan.get();
       return scan;
     };
 
-    global_to_plan.assign(scope.cols.size(), -1);
+    // `layout` holds the combined-scope column at each plan output
+    // position; global_to_plan is its inverse (pruned columns stay -1: no
+    // bound expression references them).
+    std::vector<int> layout;
+    auto append_scan = [&](int t) {
+      for (int j : projections[static_cast<size_t>(t)]) {
+        layout.push_back(from[t].offset + j);
+      }
+    };
+    auto sync_layout = [&] {
+      global_to_plan.assign(scope.cols.size(), -1);
+      for (size_t k = 0; k < layout.size(); ++k) {
+        global_to_plan[static_cast<size_t>(layout[k])] = static_cast<int>(k);
+      }
+    };
     std::vector<bool> placed(from.size(), false);
     plan = make_scan(order[0]);
     double cum_cost = plan->est_cost();
-    for (int j = 0; j < from[order[0]].width; ++j) {
-      global_to_plan[static_cast<size_t>(from[order[0]].offset + j)] = j;
-    }
-    int plan_width = from[order[0]].width;
+    append_scan(order[0]);
+    sync_layout();
     placed[order[0]] = true;
     for (size_t p = 1; p < order.size(); ++p) {
       int r = order[p];
@@ -649,32 +703,55 @@ Result<PlannedQuery> PlanSelect(const SelectStmt& stmt,
         }
         if (rg < 0) continue;
         build_keys.push_back(global_to_plan[static_cast<size_t>(og)]);
-        probe_keys.push_back(rg - from[r].offset);
+        const std::vector<int>& proj = projections[static_cast<size_t>(r)];
+        probe_keys.push_back(static_cast<int>(
+            std::lower_bound(proj.begin(), proj.end(), rg - from[r].offset) -
+            proj.begin()));
         e.applied = true;
       }
       auto scan = make_scan(r);
       cum_cost += scan->est_cost() +
                   cm.CostHashJoin(interm[p - 1], rel_rows[r], interm[p]).cost;
+      // The join outputs only what is read above it: used columns and the
+      // keys of joins still to come (at least one column, for the row
+      // count).
+      std::vector<bool> need = used_above_joins;
+      for (const EqEdge& e : edges) {
+        if (e.applied) continue;
+        need[static_cast<size_t>(e.ga)] = true;
+        need[static_cast<size_t>(e.gb)] = true;
+      }
+      append_scan(r);
+      std::vector<int> output;
+      std::vector<int> kept;
+      for (size_t k = 0; k < layout.size(); ++k) {
+        if (need[static_cast<size_t>(layout[k])]) {
+          output.push_back(static_cast<int>(k));
+          kept.push_back(layout[k]);
+        }
+      }
+      if (output.empty()) {
+        output.push_back(0);
+        kept.push_back(layout[0]);
+      }
+      if (output.size() == layout.size()) output.clear();  // full width
+      layout = std::move(kept);
+      sync_layout();
       PhysicalOpPtr join;
       if (par_enabled && dynamic_cast<MorselSource*>(scan.get()) != nullptr) {
         // Probe side is morsel-parallel: partitioned parallel build +
         // in-worker probe, fused into the scan's morsel pipeline.
         join = std::make_unique<ParallelHashJoinOp>(
             std::move(plan), std::move(scan), std::move(build_keys),
-            std::move(probe_keys), pctx);
+            std::move(probe_keys), pctx, std::move(output));
         any_parallel = true;
       } else {
         join = std::make_unique<HashJoinOp>(
             std::move(plan), std::move(scan), std::move(build_keys),
-            std::move(probe_keys));
+            std::move(probe_keys), std::move(output));
       }
       join->set_estimates(interm[p], cum_cost);
       plan = std::move(join);
-      for (int j = 0; j < from[r].width; ++j) {
-        global_to_plan[static_cast<size_t>(from[r].offset + j)] =
-            plan_width + j;
-      }
-      plan_width += from[r].width;
       placed[r] = true;
     }
 
@@ -913,13 +990,9 @@ Result<PlannedQuery> PlanSelect(const SelectStmt& stmt,
       OLTAP_ASSIGN_OR_RETURN(having, bind_having(*stmt.having));
     }
 
-    if (par_enabled && dynamic_cast<MorselSource*>(plan.get()) != nullptr &&
-        AggsParallelMergeable(aggs)) {
+    if (par_enabled && dynamic_cast<MorselSource*>(plan.get()) != nullptr) {
       // Thread-local pre-aggregation per morsel, merged in slot order —
-      // exact for COUNT/SUM(int)/MIN/MAX. Order-sensitive float folds
-      // (AVG, SUM over doubles) keep the serial aggregate below, which is
-      // still bit-exact because the parallel child reproduces the serial
-      // row stream.
+      // exact for every aggregate (float sums stay exact until finalized).
       plan = std::make_unique<ParallelHashAggOp>(
           std::move(plan), std::move(group_exprs), aggs, pctx);
     } else {

@@ -158,7 +158,7 @@ namespace {
 
 // One result row per profile node: operator (indented by depth), planner
 // estimate (NULL when the plan carried none), rows, batches, inclusive
-// time in milliseconds.
+// and self time in milliseconds.
 void FlattenProfile(const obs::QueryProfile::Node& node, int depth,
                     std::vector<Row>* out) {
   std::string label(static_cast<size_t>(depth) * 2, ' ');
@@ -169,7 +169,8 @@ void FlattenProfile(const obs::QueryProfile::Node& node, int depth,
   out->push_back(Row{Value::String(std::move(label)), std::move(est),
                      Value::Int64(static_cast<int64_t>(node.rows)),
                      Value::Int64(static_cast<int64_t>(node.batches)),
-                     Value::Double(static_cast<double>(node.time_ns) * 1e-6)});
+                     Value::Double(static_cast<double>(node.time_ns) * 1e-6),
+                     Value::Double(static_cast<double>(node.self_ns) * 1e-6)});
   for (const obs::QueryProfile::Node& child : node.children) {
     FlattenProfile(child, depth + 1, out);
   }
@@ -274,7 +275,8 @@ Result<QueryResult> Database::RunSelect(Transaction* txn,
     ExecutePlan(plan.root.get());
     observe();
     obs::QueryProfile profile = BuildQueryProfile(plan.root.get());
-    result.columns = {"operator", "est_rows", "rows", "batches", "time_ms"};
+    result.columns = {"operator", "est_rows", "rows",   "batches",
+                      "time_ms",  "self_ms"};
     FlattenProfile(profile.root, 0, &result.rows);
     result.affected = result.rows.size();
     return result;

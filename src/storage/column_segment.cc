@@ -209,6 +209,49 @@ int64_t ColumnSegment::GetInt64(size_t i) const {
   return raw_i64_[i];
 }
 
+void ColumnSegment::GatherInt64(const uint32_t* rids, size_t n,
+                                int64_t* out) const {
+  OLTAP_DCHECK(type_ == ValueType::kInt64);
+  if (n == 0) return;
+  if (int64_rle_) {
+    // Run r covers [rle_starts_[r], rle_starts_[r + 1]); the row ids
+    // ascend, so the run cursor only moves forward.
+    size_t r = static_cast<size_t>(
+                   std::upper_bound(rle_starts_.begin(), rle_starts_.end(),
+                                    rids[0]) -
+                   rle_starts_.begin()) -
+               1;
+    for (size_t k = 0; k < n; ++k) {
+      while (rids[k] >= rle_starts_[r + 1]) ++r;
+      out[k] = rle_values_[r];
+    }
+    return;
+  }
+  if (int64_packed_) {
+    for (size_t k = 0; k < n; ++k) {
+      out[k] = for_base_ + static_cast<int64_t>(packed_.Get(rids[k]));
+    }
+    return;
+  }
+  for (size_t k = 0; k < n; ++k) out[k] = raw_i64_[rids[k]];
+}
+
+void ColumnSegment::GatherDouble(const uint32_t* rids, size_t n,
+                                 double* out) const {
+  OLTAP_DCHECK(type_ == ValueType::kDouble);
+  for (size_t k = 0; k < n; ++k) out[k] = raw_f64_[rids[k]];
+}
+
+void ColumnSegment::GatherString(const uint32_t* rids, size_t n,
+                                 std::string* out) const {
+  OLTAP_DCHECK(type_ == ValueType::kString);
+  for (size_t k = 0; k < n; ++k) {
+    if (IsNull(rids[k])) continue;  // null codes need not be in the dict
+    std::string_view v = dict_->Decode(packed_.Get(rids[k]));
+    out[k].assign(v.data(), v.size());
+  }
+}
+
 ColumnSegment::Encoding ColumnSegment::encoding() const {
   if (type_ == ValueType::kString) return Encoding::kDictionary;
   if (int64_rle_) return Encoding::kRle;

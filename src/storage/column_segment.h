@@ -57,6 +57,13 @@ class ColumnSegment {
   std::string_view GetString(size_t i) const;
   Value GetValue(size_t i) const;
 
+  // Typed bulk decode at ascending row ids rids[0..n) into out[0..n) (the
+  // scan gathers). RLE segments walk their runs with one cursor instead
+  // of a binary search per row. Values of null rows are unspecified.
+  void GatherInt64(const uint32_t* rids, size_t n, int64_t* out) const;
+  void GatherDouble(const uint32_t* rids, size_t n, double* out) const;
+  void GatherString(const uint32_t* rids, size_t n, std::string* out) const;
+
   // Evaluates `column <op> constant` over the whole segment into a
   // selection bitvector (one bit per row; NULL rows never match). Uses the
   // dictionary / frame-of-reference rewrite plus the SWAR packed kernel

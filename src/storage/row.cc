@@ -7,15 +7,44 @@
 namespace oltap {
 namespace {
 
-void AppendInt64BigEndian(std::string* out, int64_t v) {
-  // Bias so that negative values order before positive under memcmp.
-  uint64_t u = static_cast<uint64_t>(v) ^ (uint64_t{1} << 63);
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    out->push_back(static_cast<char>((u >> shift) & 0xff));
+void AppendValue(std::string* out, const Value& v) {
+  if (v.is_null()) {
+    AppendKeyNull(out);
+    return;
+  }
+  switch (v.type()) {
+    case ValueType::kInt64:
+      AppendKeyInt64(out, v.AsInt64());
+      break;
+    case ValueType::kDouble:
+      AppendKeyDouble(out, v.AsDouble());
+      break;
+    case ValueType::kString:
+      AppendKeyString(out, v.AsStringView());
+      break;
   }
 }
 
-void AppendDoubleOrdered(std::string* out, double d) {
+}  // namespace
+
+void AppendKeyNull(std::string* out) {
+  // Null sorts first via a 0x00 tag; non-null values get 0x01.
+  out->push_back('\0');
+}
+
+void AppendKeyInt64(std::string* out, int64_t v) {
+  out->push_back('\x01');
+  // Bias so that negative values order before positive under memcmp.
+  uint64_t u = static_cast<uint64_t>(v) ^ (uint64_t{1} << 63);
+  char buf[8];
+  for (int b = 0; b < 8; ++b) {
+    buf[b] = static_cast<char>((u >> (56 - 8 * b)) & 0xff);
+  }
+  out->append(buf, sizeof(buf));
+}
+
+void AppendKeyDouble(std::string* out, double d) {
+  out->push_back('\x01');
   uint64_t bits;
   std::memcpy(&bits, &d, sizeof(bits));
   // IEEE-754 total-order trick: flip all bits for negatives, sign bit for
@@ -25,12 +54,15 @@ void AppendDoubleOrdered(std::string* out, double d) {
   } else {
     bits ^= uint64_t{1} << 63;
   }
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    out->push_back(static_cast<char>((bits >> shift) & 0xff));
+  char buf[8];
+  for (int b = 0; b < 8; ++b) {
+    buf[b] = static_cast<char>((bits >> (56 - 8 * b)) & 0xff);
   }
+  out->append(buf, sizeof(buf));
 }
 
-void AppendStringEscaped(std::string* out, const std::string& s) {
+void AppendKeyString(std::string* out, std::string_view s) {
+  out->push_back('\x01');
   for (char c : s) {
     if (c == '\0') {
       out->push_back('\0');
@@ -42,28 +74,6 @@ void AppendStringEscaped(std::string* out, const std::string& s) {
   out->push_back('\0');
   out->push_back('\0');
 }
-
-void AppendValue(std::string* out, const Value& v) {
-  // Null sorts first via a 0x00 tag; non-null values get 0x01.
-  if (v.is_null()) {
-    out->push_back('\0');
-    return;
-  }
-  out->push_back('\x01');
-  switch (v.type()) {
-    case ValueType::kInt64:
-      AppendInt64BigEndian(out, v.AsInt64());
-      break;
-    case ValueType::kDouble:
-      AppendDoubleOrdered(out, v.AsDouble());
-      break;
-    case ValueType::kString:
-      AppendStringEscaped(out, v.AsString());
-      break;
-  }
-}
-
-}  // namespace
 
 std::string RowToString(const Row& row) {
   std::string out = "(";

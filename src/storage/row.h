@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.h"
@@ -26,6 +27,14 @@ std::string EncodeKey(const Schema& schema, const Row& row);
 // Encodes an arbitrary column subset (used by secondary lookups and the
 // distributed router, which hashes encoded keys).
 std::string EncodeKeyColumns(const Row& row, const std::vector<int>& cols);
+
+// The per-cell pieces of that encoding, for encoders that read typed
+// column vectors instead of boxed rows (exec/batch.h: AppendKeyAt). Each
+// appends exactly the bytes EncodeKeyColumns emits for the cell.
+void AppendKeyNull(std::string* out);
+void AppendKeyInt64(std::string* out, int64_t v);
+void AppendKeyDouble(std::string* out, double d);
+void AppendKeyString(std::string* out, std::string_view s);
 
 // One MVCC version of a row. Version chains hang off row-store entries,
 // newest first. `begin`/`end` hold either a commit timestamp or a

@@ -81,7 +81,11 @@ MvccEngine::~MvccEngine() {
 std::unique_ptr<MvccEngine::Txn> MvccEngine::Begin() {
   auto txn = std::unique_ptr<Txn>(new Txn());
   txn->id_ = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
-  txn->begin_ts_ = oracle_->CurrentReadTs();
+  {
+    // Every commit ts <= the snapshot has published its outcome.
+    std::lock_guard<std::mutex> lock(commit_mu_);
+    txn->begin_ts_ = oracle_->CurrentReadTs();
+  }
   TableFor(this)->Set(txn->id_, TxnOutcome::kActive, 0);
   return txn;
 }
@@ -232,11 +236,16 @@ Status MvccEngine::Delete(Txn* txn, std::string_view key) {
 
 Timestamp MvccEngine::Commit(Txn* txn) {
   OLTAP_CHECK(!txn->finished_);
-  Timestamp ts = oracle_->AllocateCommitTs();
   StateTable* states = TableFor(this);
-  // Publish the outcome first: readers resolving markers now treat every
-  // intent of this transaction as committed-at-ts.
-  states->Set(txn->id_, TxnOutcome::kCommitted, ts);
+  Timestamp ts;
+  {
+    // Allocate and publish atomically with respect to Begin: readers
+    // resolving markers now treat every intent of this transaction as
+    // committed-at-ts, and no snapshot >= ts predates that.
+    std::lock_guard<std::mutex> lock(commit_mu_);
+    ts = oracle_->AllocateCommitTs();
+    states->Set(txn->id_, TxnOutcome::kCommitted, ts);
+  }
   // Stamp fields, then retire the state entry.
   for (const Txn::WriteRecord& w : txn->writes_) {
     if (w.closed != nullptr) {

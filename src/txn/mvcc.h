@@ -79,6 +79,11 @@ class MvccEngine {
  private:
   RowStore* store_;
   TimestampOracle* oracle_;
+  // Orders snapshot reads of the oracle against commits: a commit
+  // allocates its timestamp and publishes its outcome under this lock, so
+  // a snapshot at T never sees a transaction with commit ts <= T still
+  // resolving as active (the published watermark).
+  std::mutex commit_mu_;
   std::atomic<uint64_t> next_txn_id_{1};
   std::atomic<uint64_t> conflicts_{0};
 

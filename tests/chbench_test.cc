@@ -137,12 +137,13 @@ TEST_F(CHBenchTest, ExplainAnalyzeOnAnalyticQuery) {
   // Q1 scans order_line and aggregates — a profile with real row counts.
   auto r = db_.Execute("EXPLAIN ANALYZE " + queries[0].sql);
   ASSERT_TRUE(r.ok()) << queries[0].name << ": " << r.status().ToString();
-  ASSERT_EQ(r->columns.size(), 5u);
+  ASSERT_EQ(r->columns.size(), 6u);
   EXPECT_EQ(r->columns[0], "operator");
   EXPECT_EQ(r->columns[1], "est_rows");
   EXPECT_EQ(r->columns[2], "rows");
   EXPECT_EQ(r->columns[3], "batches");
   EXPECT_EQ(r->columns[4], "time_ms");
+  EXPECT_EQ(r->columns[5], "self_ms");
   ASSERT_GE(r->rows.size(), 2u);  // at least aggregate over scan
   int64_t max_rows = 0;
   double max_time_ms = 0.0;

@@ -501,7 +501,7 @@ TEST_F(OptSqlTest, ExplainAnalyzeShowsEstimateVersusActual) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->columns,
             (std::vector<std::string>{"operator", "est_rows", "rows",
-                                      "batches", "time_ms"}));
+                                      "batches", "time_ms", "self_ms"}));
   bool saw_estimated_scan = false;
   for (const Row& row : r->rows) {
     if (row[0].AsString().find("Scan(big") == std::string::npos) continue;

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -111,10 +112,25 @@ TEST(ParallelExecWorkersTest, RunOnWorkersAllParticipate) {
 // serial at any DOP.
 // ---------------------------------------------------------------------
 
+// One string per row; doubles print as hex floats, so equal renderings
+// mean bit-identical values.
 std::vector<std::string> Render(const QueryResult& r) {
   std::vector<std::string> out;
   out.reserve(r.rows.size());
-  for (const Row& row : r.rows) out.push_back(RowToString(row));
+  for (const Row& row : r.rows) {
+    std::string line;
+    for (const Value& v : row) {
+      if (!v.is_null() && v.type() == ValueType::kDouble) {
+        char buf[40];
+        std::snprintf(buf, sizeof(buf), "%a", v.AsDouble());
+        line += buf;
+      } else {
+        line += v.ToString();
+      }
+      line += "|";
+    }
+    out.push_back(std::move(line));
+  }
   return out;
 }
 
@@ -218,8 +234,7 @@ TEST_F(ParallelExecSqlTest, AggDeterministic) {
   ExpectSameResult(&db_, "SELECT COUNT(*), MIN(k), MAX(k) FROM big", 4);
   ExpectSameResult(&db_,
                    "SELECT COUNT(*), SUM(v) FROM big WHERE k < 0", 4);
-  // Order-sensitive float folds stay serial over the parallel child and
-  // must still be bit-exact (same row stream, same fold order).
+  // Float sums merge per morsel and must still be bit-exact.
   ExpectSameResult(&db_, "SELECT grp, AVG(v), SUM(d) FROM big GROUP BY grp",
                    4);
   ExpectSameResult(&db_, "SELECT AVG(d) FROM big", 4);
@@ -234,14 +249,21 @@ TEST_F(ParallelExecSqlTest, AggPlanGating) {
   for (const Row& r : plan->rows) text += r[0].AsString() + "\n";
   EXPECT_NE(text.find("ParallelHashAggregate"), std::string::npos) << text;
 
-  // AVG is not mergeable: serial aggregate over the parallel scan.
-  plan = db_.Execute("EXPLAIN SELECT grp, AVG(v) FROM big GROUP BY grp");
-  ASSERT_TRUE(plan.ok());
-  text.clear();
-  for (const Row& r : plan->rows) text += r[0].AsString() + "\n";
-  EXPECT_EQ(text.find("ParallelHashAggregate"), std::string::npos) << text;
-  EXPECT_NE(text.find("HashAggregate"), std::string::npos) << text;
-  EXPECT_NE(text.find("ParallelScan"), std::string::npos) << text;
+  // AVG and SUM over doubles merge exactly too (exact summation): they
+  // plan the parallel aggregate and stay byte-identical to DOP 1.
+  for (const char* sql :
+       {"SELECT grp, AVG(v) FROM big GROUP BY grp",
+        "SELECT grp, SUM(d), AVG(d) FROM big GROUP BY grp",
+        "SELECT SUM(d) FROM big"}) {
+    plan = db_.Execute(std::string("EXPLAIN ") + sql);
+    ASSERT_TRUE(plan.ok());
+    text.clear();
+    for (const Row& r : plan->rows) text += r[0].AsString() + "\n";
+    EXPECT_NE(text.find("ParallelHashAggregate"), std::string::npos) << text;
+    EXPECT_NE(text.find("ParallelScan"), std::string::npos) << text;
+    ExpectSameResult(&db_, sql, 4);
+    ASSERT_TRUE(db_.Execute("SET max_dop = 4").ok());
+  }
 }
 
 TEST_F(ParallelExecSqlTest, JoinDeterministicWithDuplicateBuildKeys) {
@@ -294,6 +316,106 @@ TEST_F(ParallelExecSqlTest, ExplainAnalyzeReportsDopAndRows) {
     }
   }
   EXPECT_TRUE(saw_parallel_scan);
+}
+
+std::string ExplainText(Database* db, const std::string& sql) {
+  auto plan = db->Execute("EXPLAIN " + sql);
+  EXPECT_TRUE(plan.ok()) << sql << ": " << plan.status().ToString();
+  std::string text;
+  if (!plan.ok()) return text;
+  for (const Row& r : plan->rows) text += r[0].AsString() + "\n";
+  return text;
+}
+
+TEST_F(ParallelExecSqlTest, ScanPrunesToReferencedColumns) {
+  for (const char* dop : {"1", "4"}) {
+    ASSERT_TRUE(db_.Execute(std::string("SET max_dop = ") + dop).ok());
+    // v is only a pushed-down predicate column: the scan filters on it
+    // but does not output it.
+    std::string text = ExplainText(
+        &db_, "SELECT grp, SUM(d) FROM big WHERE v > 0 GROUP BY grp");
+    EXPECT_NE(text.find("cols=[grp,d]"), std::string::npos) << text;
+    // A residual (column vs column) reads its columns inside the scan.
+    text = ExplainText(&db_, "SELECT k FROM big WHERE v > grp");
+    EXPECT_NE(text.find("cols=[k]"), std::string::npos) << text;
+    // Full width: no cols= suffix.
+    text = ExplainText(&db_, "SELECT * FROM big WHERE k < 10");
+    EXPECT_EQ(text.find("cols="), std::string::npos) << text;
+    // COUNT(*) alone still scans one column and counts every row.
+    text = ExplainText(&db_, "SELECT COUNT(*) FROM big");
+    EXPECT_NE(text.find("cols=[k]"), std::string::npos) << text;
+    auto count = db_.Execute("SELECT COUNT(*) FROM big");
+    ASSERT_TRUE(count.ok());
+    EXPECT_EQ(count->rows[0][0].AsInt64(), 6100);
+    count = db_.Execute("SELECT COUNT(*) FROM big WHERE v > 0");
+    ASSERT_TRUE(count.ok());
+    EXPECT_GT(count->rows[0][0].AsInt64(), 0);
+  }
+  // The legacy planner keeps full-width scans.
+  ASSERT_TRUE(db_.Execute("SET optimizer = off").ok());
+  EXPECT_EQ(ExplainText(&db_, "SELECT grp, SUM(d) FROM big GROUP BY grp")
+                .find("cols="),
+            std::string::npos);
+  ASSERT_TRUE(db_.Execute("SET optimizer = on").ok());
+}
+
+// Runs `sql` with the optimizer (pruned, parallel at `dop`) and without it
+// (full-width serial scans) and expects bit-identical row streams.
+void ExpectSameAsOptimizerOff(Database* db, const std::string& sql,
+                              size_t dop) {
+  ASSERT_TRUE(db->Execute("SET max_dop = " + std::to_string(dop)).ok());
+  auto optimized = db->Execute(sql);
+  ASSERT_TRUE(optimized.ok()) << sql << ": " << optimized.status().ToString();
+  ASSERT_TRUE(db->Execute("SET optimizer = off").ok());
+  auto legacy = db->Execute(sql);
+  ASSERT_TRUE(db->Execute("SET optimizer = on").ok());
+  ASSERT_TRUE(legacy.ok()) << sql << ": " << legacy.status().ToString();
+  EXPECT_EQ(Render(*optimized), Render(*legacy)) << sql;
+}
+
+TEST_F(ParallelExecSqlTest, PrunedResultsMatchOptimizerOff) {
+  for (size_t dop : {1, 4}) {
+    ExpectSameAsOptimizerOff(&db_, "SELECT COUNT(*) FROM big", dop);
+    ExpectSameAsOptimizerOff(&db_, "SELECT k, s FROM big WHERE v > grp",
+                             dop);
+    ExpectSameAsOptimizerOff(
+        &db_,
+        "SELECT grp, COUNT(*), SUM(v), AVG(d), SUM(d), MIN(s), MAX(d) "
+        "FROM big WHERE k >= 100 GROUP BY grp ORDER BY grp",
+        dop);
+    ExpectSameAsOptimizerOff(
+        &db_,
+        "SELECT s, SUM(d) FROM big GROUP BY s HAVING AVG(v) > 0 "
+        "ORDER BY s",
+        dop);
+    ExpectSameAsOptimizerOff(&db_, "SELECT * FROM big WHERE k < 50", dop);
+  }
+}
+
+TEST_F(ParallelExecSqlTest, ExplainAnalyzeSelfTimesAddUp) {
+  ASSERT_TRUE(db_.Execute("SET max_dop = 4").ok());
+  auto r = db_.Execute(
+      "EXPLAIN ANALYZE SELECT grp, COUNT(*), SUM(d) FROM big "
+      "WHERE v > -40 GROUP BY grp ORDER BY grp");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->columns.back(), "self_ms");
+  double self_sum = 0;
+  bool saw_fused_agg = false;
+  for (const Row& row : r->rows) {
+    double total = row[4].AsDouble();
+    double self = row[5].AsDouble();
+    EXPECT_GE(self, 0.0) << row[0].AsString();
+    EXPECT_LE(self, total + 1e-9) << row[0].AsString();
+    self_sum += self;
+    if (row[0].AsString().find("ParallelHashAggregate") !=
+        std::string::npos) {
+      saw_fused_agg = true;
+    }
+  }
+  EXPECT_TRUE(saw_fused_agg);
+  // The root's inclusive time is the whole query; self times partition it.
+  EXPECT_NEAR(self_sum, r->rows[0][4].AsDouble(),
+              1e-6 + 1e-6 * r->rows[0][4].AsDouble());
 }
 
 TEST_F(ParallelExecSqlTest, MorselCountersAdvance) {
@@ -439,6 +561,50 @@ TEST(ParallelExecCHTest, AllQueriesDeterministicQuiesced) {
     ASSERT_TRUE(parallel.ok()) << CHBenchmark::Queries()[q].name;
     EXPECT_EQ(Render(*serial), Render(*parallel))
         << CHBenchmark::Queries()[q].name;
+  }
+}
+
+TEST(ParallelExecCHTest, PrunedPlansMatchOptimizerOff) {
+  Database db;
+  CHBenchmark bench(&db, ParallelCHConfig());
+  ASSERT_TRUE(bench.CreateTables().ok());
+  ASSERT_TRUE(bench.Load().ok());
+  db.MergeAll();
+  ASSERT_TRUE(db.Execute("ANALYZE").ok());
+  ThreadPool pool(3);
+  db.set_exec_pool(&pool);
+
+  for (const auto& aq : CHBenchmark::Queries()) {
+    ExpectSameAsOptimizerOff(&db, aq.sql, 4);
+    ExpectSameAsOptimizerOff(&db, aq.sql, 1);
+    // Every optimized scan reads a strict subset of its table's columns.
+    ASSERT_TRUE(db.Execute("SET max_dop = 4").ok());
+    std::string text = ExplainText(&db, aq.sql);
+    size_t pos = 0;
+    while ((pos = text.find("Scan(", pos)) != std::string::npos) {
+      size_t eol = text.find('\n', pos);
+      EXPECT_NE(text.substr(pos, eol - pos).find("cols=["), std::string::npos)
+          << aq.name << "\n" << text;
+      pos = eol;
+    }
+  }
+  // The aggregates over order lines (A1, A2, A4, A5, A6, A9) aggregate in
+  // parallel, the AVG and float-SUM ones included.
+  for (size_t q : {0, 1, 3, 4, 5, 8}) {
+    const auto& aq = CHBenchmark::Queries()[q];
+    EXPECT_NE(ExplainText(&db, aq.sql).find("ParallelHashAggregate"),
+              std::string::npos)
+        << aq.name;
+  }
+  // Joins drop the key columns nothing above them reads.
+  for (size_t q : {1, 3, 8}) {
+    const auto& aq = CHBenchmark::Queries()[q];
+    std::string text = ExplainText(&db, aq.sql);
+    size_t join = text.find("HashJoin(");
+    ASSERT_NE(join, std::string::npos) << aq.name << "\n" << text;
+    EXPECT_NE(text.substr(join, text.find('\n', join) - join).find("cols=[$"),
+              std::string::npos)
+        << aq.name << "\n" << text;
   }
 }
 

@@ -445,14 +445,14 @@ TEST_F(SqlEndToEndTest, ExplainAnalyzeReportsOperatorStats) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->columns, (std::vector<std::string>{"operator", "est_rows",
                                                   "rows", "batches",
-                                                  "time_ms"}));
+                                                  "time_ms", "self_ms"}));
   ASSERT_GE(r->rows.size(), 2u);  // at least sort/agg over a scan
   // The root operator emitted the query's 3 group rows; the scan produced
   // the 4 rows passing the filter.
   bool saw_nonzero_rows = false;
   bool saw_scan = false;
   for (const Row& row : r->rows) {
-    ASSERT_EQ(row.size(), 5u);
+    ASSERT_EQ(row.size(), 6u);
     if (row[2].AsInt64() > 0) saw_nonzero_rows = true;
     if (row[0].AsString().find("Scan(emp") != std::string::npos) {
       saw_scan = true;
