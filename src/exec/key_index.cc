@@ -10,7 +10,7 @@ uint64_t KeyIndex::Hash(std::string_view key) { return HashString(key); }
 namespace {
 
 // Table slots come from the hash's high bits: callers partition by its
-// low bits (hash % partitions), which a partition's keys all share.
+// low bits (PartitionOf), which a partition's keys all share.
 size_t HomeSlot(uint64_t hash, size_t mask) {
   return static_cast<size_t>(hash >> 29) & mask;
 }

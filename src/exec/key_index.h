@@ -44,6 +44,14 @@ class KeyIndex {
   std::string bytes_;
 };
 
+// The partition, among `n`, of a key whose hash is `hash`: a multiply-shift
+// over the hash's low 29 bits, with no division. KeyIndex's home slots
+// come from the bits above, so one partition's keys still spread over its
+// whole table.
+inline size_t PartitionOf(uint64_t hash, size_t n) {
+  return static_cast<size_t>(((hash & 0x1fffffffu) * n) >> 29);
+}
+
 // The build side of a hash join: each distinct key's build rows, in
 // ascending row order (the order both joins emit duplicate matches in).
 class JoinTable {

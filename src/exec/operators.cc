@@ -1,10 +1,13 @@
 #include "exec/operators.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <functional>
 #include <numeric>
 
 #include "common/logging.h"
+#include "obs/metrics.h"
 
 namespace oltap {
 
@@ -310,24 +313,91 @@ size_t CollectDeltaRows(const ColumnTable::Snapshot& snap,
   return scanned;
 }
 
+// ----------------------------------------------------------- MorselSource
+
+std::string DescribeOp(const std::string& name, const std::string& args,
+                       const ParallelContext& ctx) {
+  if (ctx.dop < 2) return name + "(" + args + ")";
+  return "Parallel" + name + "(" + args + ", dop=" + std::to_string(ctx.dop) +
+         ")";
+}
+
+void MorselSource::PrepareMorsels() {
+  if (prepared_) return;
+  prepared_ = true;
+  uint64_t t0 = obs::MonotonicNanos();
+  Prepare();
+  prepare_ns_ = obs::MonotonicNanos() - t0;
+}
+
+DriveTiming MorselSource::Drive(const MorselSink& sink, size_t begin,
+                                size_t end) {
+  PrepareMorsels();
+  DriveAccount acct;
+  DriveTiming t = Produce(begin, std::min(end, slots()), sink, &acct);
+  uint64_t ns = acct.InclusiveNs(t);
+  if (!prepare_accounted_) {
+    prepare_accounted_ = true;
+    ns += prepare_ns_;
+  }
+  AccountDriven(acct.rows(), acct.batches(), ns);
+  return t;
+}
+
+void MorselSource::Open() {
+  PrepareMorsels();
+  window_.Reset(0, 0);
+  next_slot_ = 0;
+}
+
+bool MorselSource::NextBatch(Batch* out) {
+  while (!window_.Next(out)) {
+    const size_t begin = next_slot_;
+    if (begin >= slots()) return false;
+    next_slot_ = std::min(slots(), begin + std::max<size_t>(1, ctx_.dop));
+    window_.Reset(begin, next_slot_ - begin);
+    // Pulled batches are counted by NextBatchTimed, not by the drive.
+    DriveAccount unused;
+    Produce(begin, next_slot_,
+            [this](size_t, size_t slot, Batch&& b) {
+              window_.Append(slot, std::move(b));
+            },
+            &unused);
+  }
+  return true;
+}
+
+void ChildSource::Prepare() {
+  if (src_ != nullptr) {
+    src_->PrepareMorsels();
+  } else {
+    op_->OpenTimed();
+  }
+}
+
+size_t ChildSource::slots() const {
+  return src_ != nullptr ? src_->slots() : 1;
+}
+
+DriveTiming ChildSource::Drive(const MorselSink& sink, size_t begin,
+                               size_t end) {
+  if (src_ != nullptr) return src_->Drive(sink, begin, end);
+  if (begin > 0 || end == 0) return {};
+  const uint64_t t0 = obs::MonotonicNanos();
+  Batch batch;
+  while (op_->NextBatchTimed(&batch)) {
+    if (batch.num_rows() > 0) sink(0, 0, std::move(batch));
+  }
+  uint64_t ns = obs::MonotonicNanos() - t0;
+  return {ns, ns};
+}
+
 // ---------------------------------------------------------------- ScanOp
 
-std::string ScanOp::Describe() const {
-  std::string out = "Scan(" + table_->name() + " [" +
-                    TableFormatToString(table_->format()) + "]";
-  if (predicate_ != nullptr) out += ", pred=" + predicate_->ToString();
-  out += DescribeProjection(table_->schema(), projection_);
-  if (path_ == Path::kRow) out += ", path=row";
-  if (path_ == Path::kColumn) out += ", path=column";
-  out += ")";
-  return out;
-}
-std::vector<const PhysicalOp*> ScanOp::Children() const { return {}; }
-
-
 ScanOp::ScanOp(const Table* table, Timestamp read_ts, ExprPtr predicate,
-               std::vector<int> projection, Path path)
-    : table_(table),
+               std::vector<int> projection, Path path, ParallelContext ctx)
+    : MorselSource(ctx),
+      table_(table),
       read_ts_(read_ts),
       predicate_(std::move(predicate)),
       projection_(std::move(projection)),
@@ -345,26 +415,31 @@ ScanOp::ScanOp(const Table* table, Timestamp read_ts, ExprPtr predicate,
 
 std::vector<ValueType> ScanOp::OutputTypes() const { return out_types_; }
 
-void ScanOp::Open() {
-  rows_scanned_ = 0;
-  zones_pruned_ = 0;
-  main_pos_ = 0;
-  pending_ = EmptyBatch(out_types_);
-  pending_pos_ = 0;
+std::string ScanOp::Describe() const {
+  std::string args =
+      table_->name() + " [" + TableFormatToString(table_->format()) + "]";
+  if (predicate_ != nullptr) args += ", pred=" + predicate_->ToString();
+  args += DescribeProjection(table_->schema(), projection_);
+  if (path_ == Path::kRow) {
+    args += ", path=row";
+  } else if (path_ == Path::kColumn || ctx().dop >= 2) {
+    args += ", path=column";
+  }
+  return DescribeOp("Scan", args, ctx());
+}
 
+void ScanOp::Prepare() {
+  tail_ = EmptyBatch(out_types_);
   // Resolve the physical side: column whenever one exists (historical
   // behavior), unless a forced path overrides it and the table actually
   // has that mirror.
-  columnar_ = table_->column_table() != nullptr;
-  if (path_ == Path::kRow && table_->row_table() != nullptr) {
-    columnar_ = false;
-  }
-  if (!columnar_) {
-    // Row engine (or forced row mirror of a dual table): materialize
-    // passing rows once (OLTP-sized tables).
+  if (table_->column_table() == nullptr ||
+      (path_ == Path::kRow && table_->row_table() != nullptr)) {
+    // Row engine (or forced row mirror of a dual table): the passing rows
+    // are collected once into the single slot (OLTP-sized tables).
     table_->row_table()->ScanVisible(read_ts_, [&](const Row& row) {
       ++rows_scanned_;
-      AppendIfPasses(row, predicate_, projection_, &pending_);
+      AppendIfPasses(row, predicate_, projection_, &tail_);
     });
     return;
   }
@@ -372,92 +447,107 @@ void ScanOp::Open() {
   snap_ = table_->GetColumnSnapshot(read_ts_);
   OLTAP_CHECK(snap_.has_value());
   plan_.Init(predicate_, projection_, table_->schema().num_columns());
-  PrepareMainSelection();
-
-  rows_scanned_ +=
-      CollectDeltaRows(*snap_, predicate_, projection_, &pending_);
-}
-
-void ScanOp::PrepareMainSelection() {
+  // Main-fragment selection: visibility mask, then zone-pruned pushdown
+  // kernels over whole segments (cheap relative to the per-row gather the
+  // morsels do).
   const MainFragment& main = *snap_->main;
   rows_scanned_ += main.num_rows();
   plan_.Select(main, read_ts_, &main_sel_, &zones_pruned_);
+  num_main_morsels_ = (main.num_rows() + kMorselRows - 1) / kMorselRows;
+
+  // Delta (and frozen delta) rows: row-at-a-time with the full predicate,
+  // in scan order — they become the trailing slot.
+  rows_scanned_ += CollectDeltaRows(*snap_, predicate_, projection_, &tail_);
 }
 
-bool ScanOp::EmitMainBatch(Batch* out) {
-  // Gather the next chunk of selected rowids.
+void ScanOp::ProduceMainMorsel(size_t run, size_t m, const MorselSink& sink,
+                               DriveAccount* acct) const {
+  size_t begin = m * kMorselRows;
+  size_t end = std::min(main_sel_.size(), begin + kMorselRows);
+  size_t pos = main_sel_.FindNextSet(begin);
   std::vector<uint32_t> rids;
   rids.reserve(kDefaultBatchRows);
-  size_t i = main_sel_.FindNextSet(main_pos_);
-  while (i < main_sel_.size() && rids.size() < kDefaultBatchRows) {
-    rids.push_back(static_cast<uint32_t>(i));
-    i = main_sel_.FindNextSet(i + 1);
-  }
-  main_pos_ = i;
-  if (rids.empty()) return false;
-  plan_.EmitMain(*snap_->main, projection_, rids, out);
-  return true;
-}
-
-bool ScanOp::EmitDeltaRows(Batch* out) {
-  size_t n = pending_.num_rows();
-  if (pending_pos_ >= n) return false;
-  size_t end = std::min(n, pending_pos_ + kDefaultBatchRows);
-  out->columns.clear();
-  out->AppendRows(pending_, pending_pos_, end);
-  pending_pos_ = end;
-  return true;
-}
-
-bool ScanOp::NextBatch(Batch* out) {
-  out->columns.clear();
-  if (columnar_) {
-    while (true) {
-      if (EmitMainBatch(out)) {
-        if (out->num_rows() > 0) return true;
-        continue;  // fully filtered batch; try the next chunk
-      }
-      break;
+  while (pos < end) {
+    rids.clear();
+    while (pos < end && rids.size() < kDefaultBatchRows) {
+      rids.push_back(static_cast<uint32_t>(pos));
+      pos = main_sel_.FindNextSet(pos + 1);
     }
-    return EmitDeltaRows(out);
+    Batch out;
+    plan_.EmitMain(*snap_->main, projection_, rids, &out);
+    if (out.num_rows() == 0) continue;  // fully filtered by the residual
+    acct->Emit(sink, run, m, std::move(out));
   }
-  return EmitDeltaRows(out);  // pending_ holds the row-engine result
+}
+
+void ScanOp::ProduceTail(size_t run, size_t slot, const MorselSink& sink,
+                         DriveAccount* acct) const {
+  size_t n = tail_.num_rows();
+  for (size_t base = 0; base < n; base += kDefaultBatchRows) {
+    Batch out;
+    out.AppendRows(tail_, base, std::min(n, base + kDefaultBatchRows));
+    acct->Emit(sink, run, slot, std::move(out));
+  }
+}
+
+DriveTiming ScanOp::Produce(size_t begin, size_t end, const MorselSink& sink,
+                            DriveAccount* acct) {
+  static obs::Counter* dispatched =
+      obs::MetricsRegistry::Default()->GetCounter("exec.morsel.dispatched");
+  static obs::Counter* morsel_rows =
+      obs::MetricsRegistry::Default()->GetCounter("exec.morsel.rows");
+  const uint64_t rows0 = acct->rows();
+  DriveTiming t = DriveSlots(ctx(), begin, end, [&](size_t run, size_t m) {
+    if (m < num_main_morsels_) {
+      ProduceMainMorsel(run, m, sink, acct);
+    } else {
+      ProduceTail(run, m, sink, acct);
+    }
+  });
+  dispatched->Add(end - begin);
+  morsel_rows->Add(acct->rows() - rows0);
+  return t;
 }
 
 // --------------------------------------------------------------- FilterOp
 
-std::string FilterOp::Describe() const {
-  return "Filter(" + predicate_->ToString() + ")";
+FilterOp::FilterOp(PhysicalOpPtr child, ExprPtr predicate,
+                   ParallelContext ctx)
+    : MorselSource(ctx),
+      child_(std::move(child)),
+      input_(child_.get()),
+      predicate_(std::move(predicate)) {
+  OLTAP_CHECK(predicate_ != nullptr);
 }
-std::vector<const PhysicalOp*> FilterOp::Children() const {
-  return {child_.get()};
-}
-
-
-FilterOp::FilterOp(PhysicalOpPtr child, ExprPtr predicate)
-    : child_(std::move(child)), predicate_(std::move(predicate)) {}
-
-void FilterOp::Open() { child_->OpenTimed(); }
 
 std::vector<ValueType> FilterOp::OutputTypes() const {
   return child_->OutputTypes();
 }
 
-bool FilterOp::NextBatch(Batch* out) {
-  Batch in;
-  while (child_->NextBatchTimed(&in)) {
-    BitVector keep;
-    predicate_->EvalPredicate(in, &keep);
-    if (keep.CountSet() == 0) continue;
-    out->columns.clear();
-    out->columns.reserve(in.num_columns());
-    for (const ColumnVector& col : in.columns) {
-      out->columns.emplace_back(col.type());
-      out->columns.back().AppendSelected(col, keep);
-    }
-    return true;
-  }
-  return false;
+std::string FilterOp::Describe() const {
+  return DescribeOp("Filter", predicate_->ToString(), ctx());
+}
+
+std::vector<const PhysicalOp*> FilterOp::Children() const {
+  return {child_.get()};
+}
+
+DriveTiming FilterOp::Produce(size_t begin, size_t end,
+                              const MorselSink& sink, DriveAccount* acct) {
+  return input_.Drive(
+      [&](size_t run, size_t slot, Batch&& in) {
+        BitVector keep;
+        predicate_->EvalPredicate(in, &keep);
+        if (keep.CountSet() == 0) return;
+        Batch out;
+        out.columns.reserve(in.num_columns());
+        for (const ColumnVector& col : in.columns) {
+          out.columns.emplace_back(col.type());
+          out.columns.back().AppendSelected(col, keep);
+        }
+        acct->Emit(sink, run, slot, std::move(out));
+      },
+      begin, end);
 }
 
 // -------------------------------------------------------------- ProjectOp
@@ -500,17 +590,6 @@ bool ProjectOp::NextBatch(Batch* out) {
 
 // -------------------------------------------------------------- HashAggOp
 
-std::string HashAggOp::Describe() const {
-  std::string out = "HashAggregate(groups=";
-  out += std::to_string(group_exprs_.size());
-  out += ", aggs=" + std::to_string(aggs_.size()) + ")";
-  return out;
-}
-std::vector<const PhysicalOp*> HashAggOp::Children() const {
-  return {child_.get()};
-}
-
-
 ValueType AggSpec::OutputType() const {
   switch (fn) {
     case Fn::kCountStar:
@@ -527,20 +606,55 @@ ValueType AggSpec::OutputType() const {
 }
 
 HashAggOp::HashAggOp(PhysicalOpPtr child, std::vector<ExprPtr> group_exprs,
-                     std::vector<AggSpec> aggs)
+                     std::vector<AggSpec> aggs, ParallelContext ctx)
     : child_(std::move(child)),
+      input_(child_.get()),
       group_exprs_(std::move(group_exprs)),
-      aggs_(std::move(aggs)) {}
+      aggs_(std::move(aggs)),
+      ctx_(ctx) {}
 
 std::vector<ValueType> HashAggOp::OutputTypes() const {
   return AggOutputTypes(group_exprs_, aggs_);
 }
 
+std::string HashAggOp::Describe() const {
+  return DescribeOp("HashAggregate",
+                    "groups=" + std::to_string(group_exprs_.size()) +
+                        ", aggs=" + std::to_string(aggs_.size()),
+                    ctx_);
+}
+
+std::vector<const PhysicalOp*> HashAggOp::Children() const {
+  return {child_.get()};
+}
+
 void HashAggOp::Open() {
-  child_->OpenTimed();
-  acc_.Clear();
   emit_pos_ = 0;
-  done_ = false;
+  input_.Prepare();
+  // One accumulator per run, indexed by the run's first slot: a run is
+  // produced entirely by one worker, so each accumulator is mutated by
+  // exactly one thread during the drive.
+  std::vector<std::unique_ptr<AggAccumulator>> runs(input_.slots());
+  input_.Drive([&](size_t run, size_t, Batch&& batch) {
+    std::unique_ptr<AggAccumulator>& acc = runs[run];
+    if (acc == nullptr) {
+      acc = std::make_unique<AggAccumulator>(&group_exprs_, &aggs_);
+    }
+    acc->Consume(batch);
+  });
+  // Runs are disjoint slot ranges, so merging them by first slot follows
+  // the row stream and reproduces its first-seen group order exactly.
+  acc_.Clear();
+  bool first = true;
+  for (const std::unique_ptr<AggAccumulator>& acc : runs) {
+    if (acc == nullptr) continue;
+    if (first) {
+      acc_ = std::move(*acc);
+      first = false;
+    } else {
+      acc_.MergeFrom(*acc);
+    }
+  }
 }
 
 std::vector<ValueType> AggOutputTypes(const std::vector<ExprPtr>& group_exprs,
@@ -713,7 +827,7 @@ void AggAccumulator::MergeFrom(const AggAccumulator& other) {
       st.sum.Merge(os.sum);
       if (os.any) {
         // `other` is the later part of the stream: on ties keep the value
-        // already here, exactly as the serial first-encounter fold does.
+        // already here, exactly as a one-pass first-encounter fold does.
         int cmp = os.best.Compare(st.best);
         bool is_min = aggs[a].fn == AggSpec::Fn::kMin;
         if (!st.any || (is_min ? cmp < 0 : cmp > 0)) st.best = os.best;
@@ -784,35 +898,19 @@ bool AggAccumulator::EmitBatch(size_t* pos, Batch* out) const {
 }
 
 bool HashAggOp::NextBatch(Batch* out) {
-  if (!done_) {
-    Batch in;
-    while (child_->NextBatchTimed(&in)) acc_.Consume(in);
-    done_ = true;
-  }
   return acc_.EmitBatch(&emit_pos_, out);
 }
 
 // ------------------------------------------------------------- HashJoinOp
 
-std::string HashJoinOp::Describe() const {
-  std::string out = "HashJoin(keys=";
-  for (size_t i = 0; i < build_keys_.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "$" + std::to_string(build_keys_[i]) + "=$" +
-           std::to_string(probe_keys_[i]);
-  }
-  return out + out_.Describe() + ")";
-}
-std::vector<const PhysicalOp*> HashJoinOp::Children() const {
-  return {build_.get(), probe_.get()};
-}
-
-
 HashJoinOp::HashJoinOp(PhysicalOpPtr build, PhysicalOpPtr probe,
                        std::vector<int> build_keys,
-                       std::vector<int> probe_keys, std::vector<int> output)
-    : build_(std::move(build)),
+                       std::vector<int> probe_keys, std::vector<int> output,
+                       ParallelContext ctx)
+    : MorselSource(ctx),
+      build_(std::move(build)),
       probe_(std::move(probe)),
+      input_(probe_.get()),
       build_keys_(std::move(build_keys)),
       probe_keys_(std::move(probe_keys)),
       out_(std::move(output), build_->OutputTypes(), probe_->OutputTypes()) {
@@ -823,55 +921,123 @@ std::vector<ValueType> HashJoinOp::OutputTypes() const {
   return out_.types();
 }
 
-void HashJoinOp::Open() {
-  probe_->OpenTimed();
-  build_side_ = CollectBatch(build_.get());  // CollectBatch opens the child
-  table_ = JoinTable();
-  std::vector<const ColumnVector*> keys = KeyColumns(build_side_, build_keys_);
-  std::string key;
-  for (size_t i = 0; i < build_side_.num_rows(); ++i) {
-    if (EncodeKeyAt(keys, i, &key)) continue;  // NULL keys never join
-    table_.Add(key, KeyIndex::Hash(key), static_cast<uint32_t>(i));
+std::string HashJoinOp::Describe() const {
+  std::string args = "keys=";
+  for (size_t i = 0; i < build_keys_.size(); ++i) {
+    if (i > 0) args += ",";
+    args += "$" + std::to_string(build_keys_[i]) + "=$" +
+            std::to_string(probe_keys_[i]);
   }
-  table_.Finish();
-  probe_pos_ = 0;
-  probe_done_ = false;
-  probe_batch_.columns.clear();
-  build_match_.clear();
-  probe_match_.clear();
+  return DescribeOp("HashJoin", args + out_.Describe(), ctx());
 }
 
-bool HashJoinOp::NextBatch(Batch* out) {
-  *out = EmptyBatch(out_.types());
-  // Matches are collected per probe batch and emitted column by column.
-  auto emit_matches = [&] {
-    out_.Append(build_side_, build_match_, probe_batch_, probe_match_, out);
-    build_match_.clear();
-    probe_match_.clear();
-  };
-  std::vector<const ColumnVector*> keys = KeyColumns(probe_batch_, probe_keys_);
-  std::string key;
-  while (out->num_rows() + build_match_.size() < kDefaultBatchRows) {
-    if (probe_pos_ >= probe_batch_.num_rows()) {
-      emit_matches();
-      if (probe_done_ || !probe_->NextBatchTimed(&probe_batch_)) {
-        probe_done_ = true;
-        break;
+std::vector<const PhysicalOp*> HashJoinOp::Children() const {
+  return {build_.get(), probe_.get()};
+}
+
+void HashJoinOp::Prepare() {
+  input_.Prepare();
+  BuildTable();
+}
+
+void HashJoinOp::BuildTable() {
+  build_side_ = CollectBatch(build_.get());  // CollectBatch opens the child
+  const size_t n = build_side_.num_rows();
+  const size_t nparts = std::max<size_t>(1, ctx().dop);
+  parts_.assign(nparts, {});
+  if (n == 0) return;
+
+  // Chunks of [0, count) claimed by up to dop workers, the query thread
+  // included.
+  auto for_chunks = [&](size_t count, size_t chunk,
+                        const std::function<void(size_t, size_t)>& fn) {
+    std::atomic<size_t> next{0};
+    RunOnWorkers(ctx().pool, std::min(ctx().dop, count), [&](size_t) {
+      for (size_t b = next.fetch_add(chunk); b < count;
+           b = next.fetch_add(chunk)) {
+        fn(b, std::min(count, b + chunk));
       }
-      probe_pos_ = 0;
-      keys = KeyColumns(probe_batch_, probe_keys_);
-      continue;
-    }
-    size_t i = probe_pos_++;
-    if (EncodeKeyAt(keys, i, &key)) continue;
-    auto [first, last] = table_.Find(key, KeyIndex::Hash(key));
-    for (const uint32_t* b = first; b != last; ++b) {
-      build_match_.push_back(*b);
-      probe_match_.push_back(static_cast<uint32_t>(i));
-    }
+    });
+  };
+  const std::vector<const ColumnVector*> key_cols =
+      KeyColumns(build_side_, build_keys_);
+  // Phase 1, with several partitions only: hash every build key once, to
+  // route rows to partitions.
+  std::vector<uint64_t> hashes;
+  std::vector<uint8_t> valid;
+  if (nparts > 1) {
+    hashes.resize(n);
+    valid.assign(n, 0);
+    for_chunks(n, kDefaultBatchRows, [&](size_t begin, size_t end) {
+      std::string key;
+      for (size_t i = begin; i < end; ++i) {
+        if (EncodeKeyAt(key_cols, i, &key)) continue;  // NULLs never join
+        hashes[i] = KeyIndex::Hash(key);
+        valid[i] = 1;
+      }
+    });
   }
-  emit_matches();
-  return out->num_rows() > 0;
+  // Phase 2: one worker per partition; each partition scans the build
+  // rows and inserts its own in ascending build-row order. A single
+  // partition encodes and hashes each key here, once.
+  for_chunks(nparts, 1, [&](size_t p, size_t) {
+    JoinTable& part = parts_[p];
+    std::string key;
+    for (size_t i = 0; i < n; ++i) {
+      if (nparts > 1 && (!valid[i] || PartitionOf(hashes[i], nparts) != p)) {
+        continue;
+      }
+      if (EncodeKeyAt(key_cols, i, &key)) continue;  // NULLs never join
+      part.Add(key, nparts > 1 ? hashes[i] : KeyIndex::Hash(key),
+               static_cast<uint32_t>(i));
+    }
+    part.Finish();
+  });
+}
+
+void HashJoinOp::JoinBatch(size_t run, size_t slot, const Batch& in,
+                           const MorselSink& sink, DriveAccount* acct) const {
+  // Matches are collected and emitted column by column, flushed once a
+  // batch's worth has matched (a probe row's matches stay together).
+  std::vector<uint32_t> build_rows, probe_rows;
+  build_rows.reserve(kDefaultBatchRows);
+  probe_rows.reserve(kDefaultBatchRows);
+  auto flush = [&] {
+    if (build_rows.empty()) return;
+    Batch out = EmptyBatch(out_.types());
+    out_.Append(build_side_, build_rows, in, probe_rows, &out);
+    acct->Emit(sink, run, slot, std::move(out));
+    build_rows.clear();
+    probe_rows.clear();
+  };
+  const std::vector<const ColumnVector*> key_cols =
+      KeyColumns(in, probe_keys_);
+  const JoinTable* parts = parts_.data();
+  const size_t nparts = parts_.size();
+  const size_t n = in.num_rows();
+  std::string key;
+  for (size_t i = 0; i < n; ++i) {
+    if (EncodeKeyAt(key_cols, i, &key)) continue;
+    uint64_t hash = KeyIndex::Hash(key);
+    // One partition needs no routing (and keeps the lookup loop tight).
+    const JoinTable& part = parts[nparts == 1 ? 0 : PartitionOf(hash, nparts)];
+    auto [first, last] = part.Find(key, hash);
+    if (first == last) continue;
+    build_rows.insert(build_rows.end(), first, last);
+    probe_rows.insert(probe_rows.end(), static_cast<size_t>(last - first),
+                      static_cast<uint32_t>(i));
+    if (build_rows.size() >= kDefaultBatchRows) flush();
+  }
+  flush();
+}
+
+DriveTiming HashJoinOp::Produce(size_t begin, size_t end,
+                                const MorselSink& sink, DriveAccount* acct) {
+  return input_.Drive(
+      [&](size_t run, size_t slot, Batch&& in) {
+        JoinBatch(run, slot, in, sink, acct);
+      },
+      begin, end);
 }
 
 std::vector<const ColumnVector*> KeyColumns(const Batch& batch,

@@ -1,7 +1,9 @@
 #ifndef OLTAP_EXEC_OPERATORS_H_
 #define OLTAP_EXEC_OPERATORS_H_
 
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -10,6 +12,7 @@
 #include "exec/batch.h"
 #include "exec/expr.h"
 #include "exec/key_index.h"
+#include "exec/parallel/morsel.h"
 #include "obs/trace.h"
 #include "storage/column_store.h"
 #include "storage/table.h"
@@ -17,8 +20,9 @@
 namespace oltap {
 
 // Batch-iterator (vectorized Volcano) physical operator. Open() once, then
-// NextBatch until it returns false. Single-threaded per pipeline; the
-// scheduler layer runs whole queries on workers.
+// NextBatch until it returns false. Scans, filters and hash joins are also
+// morsel sources (MorselSource below): a consumer that can take their
+// output slot by slot drives them on the query's workers instead.
 //
 // Parents and the executor drive children through the instrumented
 // OpenTimed/NextBatchTimed entry points, so every operator accumulates
@@ -55,7 +59,7 @@ class PhysicalOp {
 
  protected:
   // Morsel-driven (fused) execution produces rows inside Drive() without
-  // going through NextBatchTimed; parallel operators account what their
+  // going through NextBatchTimed; morsel sources account what their
   // workers produced here so EXPLAIN ANALYZE row counts stay meaningful.
   void AccountDriven(size_t rows, size_t batches, uint64_t ns) {
     stats_.rows += rows;
@@ -79,10 +83,10 @@ obs::QueryProfile BuildQueryProfile(const PhysicalOp* root);
 
 using PhysicalOpPtr = std::unique_ptr<PhysicalOp>;
 
-// The columnar-scan plan shared by ScanOp and ParallelScanOp: the
-// pushdown split of the predicate into (column <op> const) kernels and a
-// residual, the columns each main-fragment batch gathers (projection ∪
-// residual refs), and the residual remapped onto those gathered columns.
+// The columnar-scan plan of ScanOp: the pushdown split of the predicate
+// into (column <op> const) kernels and a residual, the columns each
+// main-fragment batch gathers (projection ∪ residual refs), and the
+// residual remapped onto those gathered columns.
 struct ColumnScanPlan {
   // `predicate` and `projection` use table-schema indexes.
   void Init(const ExprPtr& predicate, const std::vector<int>& projection,
@@ -114,24 +118,101 @@ void AppendIfPasses(const Row& row, const ExprPtr& predicate,
 
 // The row-at-a-time part of a columnar scan: appends the frozen-delta and
 // delta rows visible in `snap` that pass `predicate`, projected, to `out`
-// (in serial scan order); returns the number of visible rows examined.
-// Only projected cells are copied, keeping the delta's read lock short.
+// (in scan order); returns the number of visible rows examined. Only
+// projected cells are copied, keeping the delta's read lock short.
 size_t CollectDeltaRows(const ColumnTable::Snapshot& snap,
                         const ExprPtr& predicate,
                         const std::vector<int>& projection, Batch* out);
 
-// Table scan with predicate pushdown. For columnar tables, the pushable
-// (column <op> const) conjuncts run as packed-segment kernels with zone-map
-// pruning, the residual predicate runs vectorized per batch, and only the
-// projected columns of selected rows are gathered. Row tables fall back to
-// a row-wise visible scan.
+// "name(args)" at DOP 1, "Parallelname(args, dop=N)" above it: EXPLAIN
+// shows the parallel form only where the planner granted workers.
+std::string DescribeOp(const std::string& name, const std::string& args,
+                       const ParallelContext& ctx);
+
+// A pipeline stage that produces its output as numbered slots (morsels),
+// each slot produced entirely by one worker. PrepareMorsels() runs once
+// on the query thread (snapshot, pushdown, hash build) and fixes slots();
+// then either
+//  - a consumer drives it: Drive() produces slots on up to ctx.dop
+//    workers, calling the consumer's sink inside them (fused pipeline), or
+//  - a parent pulls it through Open()/NextBatch(): slots are produced in
+//    windows of ctx.dop slots, one slot per worker, and streamed in slot
+//    order. At DOP 1 the window is one slot, so a pulled source holds at
+//    most one morsel's output at a time.
+class MorselSource : public PhysicalOp {
+ public:
+  explicit MorselSource(ParallelContext ctx) : ctx_(ctx) {}
+
+  void Open() final;
+  bool NextBatch(Batch* out) final;
+
+  // Idempotent; the first call's wall time is kept for EXPLAIN ANALYZE.
+  void PrepareMorsels();
+  // Number of output slots; valid after PrepareMorsels().
+  virtual size_t slots() const = 0;
+  // Produces slots [begin, min(end, slots())), calling `sink` from up to
+  // ctx.dop workers, and returns after all of them are produced (worker
+  // completion synchronizes with the return, so the caller may read
+  // sink-written state without locks), with the leaf's timing. Accounts
+  // what it emitted to op_stats().
+  DriveTiming Drive(const MorselSink& sink, size_t begin = 0,
+                    size_t end = SIZE_MAX);
+
+  const ParallelContext& ctx() const { return ctx_; }
+
+ protected:
+  // The preparation itself (runs once, from PrepareMorsels).
+  virtual void Prepare() = 0;
+  // Produces slots [begin, end), emitting every batch through
+  // acct->Emit(sink, ...).
+  virtual DriveTiming Produce(size_t begin, size_t end,
+                              const MorselSink& sink, DriveAccount* acct) = 0;
+
+ private:
+  ParallelContext ctx_;
+  bool prepared_ = false;
+  bool prepare_accounted_ = false;
+  uint64_t prepare_ns_ = 0;
+  // Pulled mode: the produced window and the first slot after it.
+  SlotBuffer window_;
+  size_t next_slot_ = 0;
+};
+
+// The input of a consuming operator, driven like a morsel source: a
+// MorselSource drives its slots; any other operator (an aggregate under
+// HAVING, a projection under DISTINCT) is one slot, pulled on the driving
+// thread.
+class ChildSource {
+ public:
+  explicit ChildSource(PhysicalOp* op)
+      : op_(op), src_(dynamic_cast<MorselSource*>(op)) {}
+
+  void Prepare();
+  size_t slots() const;
+  DriveTiming Drive(const MorselSink& sink, size_t begin = 0,
+                    size_t end = SIZE_MAX);
+
+ private:
+  PhysicalOp* op_;
+  MorselSource* src_;
+};
+
+// Morsel-driven table scan with predicate pushdown. Prepare takes the
+// snapshot and runs the selection — MVCC visibility mask plus zone-pruned
+// (column <op> const) kernels over whole packed segments — and collects
+// the visible delta rows that pass the predicate. Each main-fragment
+// morsel of kMorselRows rows is then one slot: typed gather of the needed
+// columns only, residual predicate, projection (ColumnScanPlan). The
+// filtered delta rows form one trailing slot. A row table, or a dual
+// table read with Path::kRow, is a row-wise visible scan collected into
+// one slot the same way.
 //
 // `predicate` refers to columns by *table schema* index; `projection`
 // selects and orders the output columns (empty = all columns). The
 // optimizer passes the columns the statement references, so a scan reads
 // only those; EXPLAIN lists them as cols=[...] when that is not the full
 // width.
-class ScanOp final : public PhysicalOp {
+class ScanOp final : public MorselSource {
  public:
   // Which mirror of a dual-format table to read. kAuto is the historical
   // behavior (column side whenever the format has one); the optimizer
@@ -140,13 +221,14 @@ class ScanOp final : public PhysicalOp {
   enum class Path : uint8_t { kAuto, kRow, kColumn };
 
   ScanOp(const Table* table, Timestamp read_ts, ExprPtr predicate,
-         std::vector<int> projection = {}, Path path = Path::kAuto);
+         std::vector<int> projection = {}, Path path = Path::kAuto,
+         ParallelContext ctx = {});
 
-  void Open() override;
-  bool NextBatch(Batch* out) override;
   std::vector<ValueType> OutputTypes() const override;
   std::string Describe() const override;
-  std::vector<const PhysicalOp*> Children() const override;
+  size_t slots() const override {
+    return num_main_morsels_ + (tail_.num_rows() > 0 ? 1 : 0);
+  }
 
   // Scan statistics for tests/benches.
   size_t rows_scanned() const { return rows_scanned_; }
@@ -155,9 +237,16 @@ class ScanOp final : public PhysicalOp {
   Path path() const { return path_; }
 
  private:
-  void PrepareMainSelection();
-  bool EmitMainBatch(Batch* out);
-  bool EmitDeltaRows(Batch* out);
+  void Prepare() override;
+  DriveTiming Produce(size_t begin, size_t end, const MorselSink& sink,
+                      DriveAccount* acct) override;
+  // Emits every batch of main-fragment morsel m (gather → residual →
+  // project, in kDefaultBatchRows chunks).
+  void ProduceMainMorsel(size_t run, size_t m, const MorselSink& sink,
+                         DriveAccount* acct) const;
+  // Emits the trailing slot (the collected rows, in batches).
+  void ProduceTail(size_t run, size_t slot, const MorselSink& sink,
+                   DriveAccount* acct) const;
 
   const Table* table_;
   Timestamp read_ts_;
@@ -169,31 +258,34 @@ class ScanOp final : public PhysicalOp {
   // Pushdown split and gather plan (columnar path).
   ColumnScanPlan plan_;
 
-  // Columnar scan state.
-  bool columnar_ = false;
   std::optional<ColumnTable::Snapshot> snap_;
   BitVector main_sel_;
-  size_t main_pos_ = 0;
-  Batch pending_;  // filtered, projected delta (or row-table) rows
-  size_t pending_pos_ = 0;
+  size_t num_main_morsels_ = 0;
+  // Filtered, projected delta (or row-table) rows: the trailing slot.
+  Batch tail_;
 
   size_t rows_scanned_ = 0;
   size_t zones_pruned_ = 0;
 };
 
-// Residual filter (vectorized predicate + gather of passing rows).
-class FilterOp final : public PhysicalOp {
+// Residual filter (vectorized predicate + gather of passing rows), fused
+// into its input's morsel pipeline.
+class FilterOp final : public MorselSource {
  public:
-  FilterOp(PhysicalOpPtr child, ExprPtr predicate);
+  FilterOp(PhysicalOpPtr child, ExprPtr predicate, ParallelContext ctx = {});
 
-  void Open() override;
-  bool NextBatch(Batch* out) override;
   std::vector<ValueType> OutputTypes() const override;
   std::string Describe() const override;
   std::vector<const PhysicalOp*> Children() const override;
+  size_t slots() const override { return input_.slots(); }
 
  private:
+  void Prepare() override { input_.Prepare(); }
+  DriveTiming Produce(size_t begin, size_t end, const MorselSink& sink,
+                      DriveAccount* acct) override;
+
   PhysicalOpPtr child_;
+  ChildSource input_;
   ExprPtr predicate_;
 };
 
@@ -226,11 +318,10 @@ struct AggSpec {
 std::vector<ValueType> AggOutputTypes(const std::vector<ExprPtr>& group_exprs,
                                       const std::vector<AggSpec>& aggs);
 
-// The hash-aggregation state machine shared by the serial HashAggOp (one
-// instance) and the morsel-parallel aggregate (one instance per morsel,
-// merged in morsel order). Groups are kept in first-seen input order,
-// which is what makes slot-ordered parallel merges reproduce the serial
-// group order exactly. Keys are encoded straight from the batch's typed
+// The hash-aggregation state of HashAggOp: one instance per run of
+// consecutive slots a worker claimed, merged in slot order. Groups are
+// kept in first-seen input order, which is what makes slot-ordered merges
+// reproduce the DOP-1 group order exactly. Keys are encoded straight from the batch's typed
 // vectors (EncodeKeyAt) into a KeyIndex, arguments accumulate from the
 // typed arrays, and group storage is flat: nothing is boxed or allocated
 // per row, and a new group costs no allocation of its own.
@@ -256,7 +347,7 @@ class AggAccumulator {
   // side's (earlier) value. Exact for every aggregate: COUNT, integer SUM,
   // MIN and MAX trivially, SUM/AVG over doubles because ExactSum holds the
   // exact sum until Finalize rounds it once — so any split of the input
-  // into morsels gives the serial result bit for bit.
+  // into runs of morsels gives the one-pass result bit for bit.
   void MergeFrom(const AggAccumulator& other);
   Value Finalize(const AggSpec& spec, const AggState& st) const;
   // Emits the next batch of finalized groups from *pos (advanced); a
@@ -290,10 +381,16 @@ class AggAccumulator {
 // Blocking hash aggregation: GROUP BY `group_exprs` with `aggs`. Output
 // columns = group keys then aggregates. With no group keys, emits exactly
 // one row (global aggregate; zero input rows yield COUNT=0 / NULL sums).
+//
+// Open drives the child's slots: each worker folds every run of
+// consecutive slots it claims into one AggAccumulator (at DOP 1: one
+// accumulator, no merge), and the runs then merge in slot order, so the
+// output is byte-identical at any DOP. `ctx` is the DOP of the child's
+// pipeline (for EXPLAIN).
 class HashAggOp final : public PhysicalOp {
  public:
   HashAggOp(PhysicalOpPtr child, std::vector<ExprPtr> group_exprs,
-            std::vector<AggSpec> aggs);
+            std::vector<AggSpec> aggs, ParallelContext ctx = {});
 
   void Open() override;
   bool NextBatch(Batch* out) override;
@@ -303,20 +400,21 @@ class HashAggOp final : public PhysicalOp {
 
  private:
   PhysicalOpPtr child_;
+  ChildSource input_;
   std::vector<ExprPtr> group_exprs_;
   std::vector<AggSpec> aggs_;
+  ParallelContext ctx_;
   AggAccumulator acc_{&group_exprs_, &aggs_};
   size_t emit_pos_ = 0;
-  bool done_ = false;
 };
 
 // The key columns of a batch, for EncodeKeyAt (hash joins).
 std::vector<const ColumnVector*> KeyColumns(const Batch& batch,
                                             const std::vector<int>& cols);
 
-// The output columns of a hash join, shared by HashJoinOp and
-// ParallelHashJoinOp: ascending positions in build ++ probe (empty = all
-// of them; the planner drops the columns nothing above the join reads).
+// The output columns of a hash join: ascending positions in build ++ probe
+// (empty = all of them; the planner drops the columns nothing above the
+// join reads).
 class JoinProjection {
  public:
   JoinProjection(std::vector<int> output, const std::vector<ValueType>& build,
@@ -338,38 +436,45 @@ class JoinProjection {
   std::vector<ValueType> types_;
 };
 
-// In-memory hash join (inner equi-join): materializes the build (left)
-// side, streams the probe (right) side. Output = left columns ++ right
-// columns, or the ascending subset `output` of those positions.
-class HashJoinOp final : public PhysicalOp {
+// In-memory hash join (inner equi-join). Prepare materializes the build
+// (left) side as one columnar batch and builds the hash table on the
+// query's workers, partitioned by key hash into ctx.dop partitions: one
+// worker inserts each partition's rows in ascending build-row order, so
+// duplicate-key matches come out in build-row order at any DOP. Each
+// probe (right) slot is then joined inside the worker that produced it,
+// keeping the probe row order within the slot. Output = left columns ++
+// right columns, or the ascending subset `output` of those positions.
+class HashJoinOp final : public MorselSource {
  public:
   HashJoinOp(PhysicalOpPtr build, PhysicalOpPtr probe,
              std::vector<int> build_keys, std::vector<int> probe_keys,
-             std::vector<int> output = {});
+             std::vector<int> output = {}, ParallelContext ctx = {});
 
-  void Open() override;
-  bool NextBatch(Batch* out) override;
   std::vector<ValueType> OutputTypes() const override;
   std::string Describe() const override;
   std::vector<const PhysicalOp*> Children() const override;
+  size_t slots() const override { return input_.slots(); }
 
  private:
+  void Prepare() override;
+  DriveTiming Produce(size_t begin, size_t end, const MorselSink& sink,
+                      DriveAccount* acct) override;
+  void BuildTable();
+  // Joins one probe batch, sinking output in kDefaultBatchRows chunks.
+  void JoinBatch(size_t run, size_t slot, const Batch& in,
+                 const MorselSink& sink, DriveAccount* acct) const;
+
   PhysicalOpPtr build_;
   PhysicalOpPtr probe_;
+  ChildSource input_;
   std::vector<int> build_keys_;
   std::vector<int> probe_keys_;
   JoinProjection out_;
 
   Batch build_side_;  // the materialized build input, columnar
-  // Matches per key in ascending build-row order: duplicate-key emission
-  // order is then deterministic, which the parallel partitioned build
-  // reproduces exactly.
-  JoinTable table_;
-  Batch probe_batch_;
-  size_t probe_pos_ = 0;
-  bool probe_done_ = false;
-  // Matched (build row, probe row) pairs of probe_batch_ not yet emitted.
-  std::vector<uint32_t> build_match_, probe_match_;
+  // Partition p owns keys with PartitionOf(hash(key), #parts) == p; per-key
+  // match lists are in ascending build-row order.
+  std::vector<JoinTable> parts_;
 };
 
 // Full sort (blocking). keys = (output column index, descending?).

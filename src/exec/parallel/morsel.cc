@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <cstdint>
 #include <mutex>
 #include <utility>
 
 #include "common/logging.h"
-#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace oltap {
 
@@ -36,13 +37,37 @@ void RunOnWorkers(ThreadPool* pool, size_t dop,
   done_cv.wait(lock, [&] { return done == helpers; });
 }
 
+DriveTiming DriveSlots(const ParallelContext& ctx, size_t begin, size_t end,
+                       const std::function<void(size_t, size_t)>& produce) {
+  std::atomic<size_t> cursor{begin};
+  std::atomic<uint64_t> busy_ns{0};
+  const uint64_t t0 = obs::MonotonicNanos();
+  size_t workers = std::min(ctx.dop, end > begin ? end - begin : 0);
+  RunOnWorkers(ctx.pool, workers, [&](size_t) {
+    uint64_t w0 = obs::MonotonicNanos();
+    // A claim that does not follow this worker's previous one starts a
+    // new run.
+    size_t run = 0;
+    size_t next = SIZE_MAX;
+    for (size_t m = cursor.fetch_add(1, std::memory_order_relaxed); m < end;
+         m = cursor.fetch_add(1, std::memory_order_relaxed)) {
+      if (m != next) run = m;
+      next = m + 1;
+      produce(run, m);
+    }
+    busy_ns.fetch_add(obs::MonotonicNanos() - w0, std::memory_order_relaxed);
+  });
+  return {obs::MonotonicNanos() - t0, busy_ns.load()};
+}
+
 // ----------------------------------------------------------- DriveAccount
 
-void DriveAccount::Emit(const MorselSink& sink, size_t slot, Batch&& batch) {
+void DriveAccount::Emit(const MorselSink& sink, size_t run, size_t slot,
+                        Batch&& batch) {
   rows_.fetch_add(batch.num_rows(), std::memory_order_relaxed);
   batches_.fetch_add(1, std::memory_order_relaxed);
   uint64_t t0 = obs::MonotonicNanos();
-  sink(slot, std::move(batch));
+  sink(run, slot, std::move(batch));
   sink_ns_.fetch_add(obs::MonotonicNanos() - t0, std::memory_order_relaxed);
 }
 
@@ -57,16 +82,17 @@ uint64_t DriveAccount::InclusiveNs(const DriveTiming& t) const {
 
 // ------------------------------------------------------------- SlotBuffer
 
-void SlotBuffer::Reset(size_t num_slots) {
+void SlotBuffer::Reset(size_t first, size_t num_slots) {
   slots_.clear();
   slots_.resize(num_slots);
+  first_ = first;
   slot_ = 0;
   idx_ = 0;
 }
 
 void SlotBuffer::Append(size_t slot, Batch&& batch) {
-  OLTAP_CHECK(slot < slots_.size());
-  slots_[slot].push_back(std::move(batch));
+  OLTAP_CHECK(slot >= first_ && slot - first_ < slots_.size());
+  slots_[slot - first_].push_back(std::move(batch));
 }
 
 bool SlotBuffer::Next(Batch* out) {
@@ -81,72 +107,6 @@ bool SlotBuffer::Next(Batch* out) {
     idx_ = 0;
   }
   return false;
-}
-
-// -------------------------------------------------------- ParallelFilterOp
-
-ParallelFilterOp::ParallelFilterOp(PhysicalOpPtr child, ExprPtr predicate,
-                                   ParallelContext ctx)
-    : child_(std::move(child)),
-      predicate_(std::move(predicate)),
-      ctx_(ctx) {
-  child_src_ = dynamic_cast<MorselSource*>(child_.get());
-  OLTAP_CHECK(child_src_ != nullptr);
-  OLTAP_CHECK(predicate_ != nullptr);
-}
-
-void ParallelFilterOp::Prepare() { child_src_->PrepareMorsels(); }
-
-size_t ParallelFilterOp::slots() const { return child_src_->slots(); }
-
-DriveTiming ParallelFilterOp::Drive(const MorselSink& sink) {
-  return DriveInternal(sink, /*account=*/true);
-}
-
-DriveTiming ParallelFilterOp::DriveInternal(const MorselSink& sink,
-                                            bool account) {
-  PrepareMorsels();
-  DriveAccount acct;
-  DriveTiming t = child_src_->Drive([&](size_t slot, Batch&& in) {
-    BitVector keep;
-    predicate_->EvalPredicate(in, &keep);
-    if (keep.CountSet() == 0) return;
-    Batch out;
-    out.columns.reserve(in.num_columns());
-    for (const ColumnVector& col : in.columns) {
-      out.columns.emplace_back(col.type());
-      out.columns.back().AppendSelected(col, keep);
-    }
-    acct.Emit(sink, slot, std::move(out));
-  });
-  if (account) {
-    AccountDriven(acct.rows(), acct.batches(),
-                  prepare_ns() + acct.InclusiveNs(t));
-  }
-  return t;
-}
-
-void ParallelFilterOp::Open() {
-  PrepareMorsels();
-  buf_.Reset(slots());
-  DriveInternal(
-      [this](size_t slot, Batch&& b) { buf_.Append(slot, std::move(b)); },
-      /*account=*/false);
-}
-
-bool ParallelFilterOp::NextBatch(Batch* out) { return buf_.Next(out); }
-
-std::vector<ValueType> ParallelFilterOp::OutputTypes() const {
-  return child_->OutputTypes();
-}
-
-std::string ParallelFilterOp::Describe() const {
-  return "ParallelFilter(" + predicate_->ToString() +
-         ", dop=" + std::to_string(ctx_.dop) + ")";
-}
-
-std::vector<const PhysicalOp*> ParallelFilterOp::Children() const {
-  return {child_.get()};
 }
 
 }  // namespace oltap

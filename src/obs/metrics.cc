@@ -82,9 +82,8 @@ namespace {
 void RegisterCoreMetrics(MetricsRegistry* r) {
   for (const char* name :
        {"txn.commits", "txn.aborts", "wal.records", "wal.bytes",
-        "wal.batches", "wal.fsyncs",
-        "mvcc.versions_installed", "mvcc.conflicts", "exec.queries",
-        "exec.rows_out", "sharedscan.attached", "sharedscan.chunks",
+        "wal.batches", "wal.fsyncs", "exec.queries", "exec.rows_out",
+        "sharedscan.attached", "sharedscan.chunks",
         "merge.runs", "merge.tables_merged", "merge.rows_merged",
         "merge.bytes_merged", "wm.rejected_olap", "wm.expired_in_queue",
         "2pc.commits", "2pc.aborts", "2pc.prepare_retries",

@@ -6,9 +6,6 @@
 
 #include "common/logging.h"
 #include "exec/parallel/morsel.h"
-#include "exec/parallel/parallel_agg.h"
-#include "exec/parallel/parallel_join.h"
-#include "exec/parallel/parallel_scan.h"
 #include "obs/metrics.h"
 #include "opt/cardinality.h"
 #include "opt/cost_model.h"
@@ -215,6 +212,14 @@ struct FromTable {
   int width;
 };
 
+// The workers of the pipeline `op` ends: a filter, join or aggregate runs
+// in its input's pipeline at that pipeline's DOP; the output of a blocking
+// operator starts a DOP-1 pipeline.
+ParallelContext PipelineContext(const PhysicalOp* op) {
+  auto* src = dynamic_cast<const MorselSource*>(op);
+  return src != nullptr ? src->ctx() : ParallelContext{};
+}
+
 }  // namespace
 
 std::string StatementFingerprint(const SelectStmt& stmt) {
@@ -353,9 +358,10 @@ Result<PlannedQuery> PlanSelect(const SelectStmt& stmt,
   // order, so no rewrite is needed).
   std::vector<int> global_to_plan;
 
-  // Morsel-parallel substitution: optimizer path only (SET optimizer=off
-  // must reproduce the historical plans byte for byte), and only when the
-  // session supplied a pool and the admission grant left DOP >= 2.
+  // Workers for large columnar scans: optimizer path only (SET
+  // optimizer=off must reproduce the historical plans byte for byte), and
+  // only when the session supplied a pool and the admission grant left
+  // DOP >= 2. Every other pipeline runs inline at DOP 1.
   const bool par_enabled = options.use_optimizer &&
                            options.exec_pool != nullptr &&
                            options.max_dop >= 2;
@@ -632,7 +638,7 @@ Result<PlannedQuery> PlanSelect(const SelectStmt& stmt,
 
     // Costed scan with access-path selection (explicit side only for
     // dual-format tables; other formats have exactly one).
-    auto make_scan = [&](int t) -> PhysicalOpPtr {
+    auto make_scan = [&](int t) -> std::unique_ptr<ScanOp> {
       opt::CostModel::ScanDecision d =
           cm.CostScan(*from[t].table, read_ts, PushablePreds(table_preds[t]),
                       rel_rows[t]);
@@ -645,21 +651,17 @@ Result<PlannedQuery> PlanSelect(const SelectStmt& stmt,
                                                     : "opt.path_column")
             ->Add(1);
       }
-      // Morsel-parallel scan for large columnar reads. The feedback
-      // memo's scan slot stays null (actual cardinality harvesting is a
-      // serial-scan feature; estimates degrade gracefully without it).
+      // Morsel-parallel scan for large columnar reads.
+      ParallelContext ctx;
       if (par_enabled && path != ScanOp::Path::kRow &&
           from[t].table->column_table() != nullptr &&
           from[t].table->ApproxRowCount() >= kMinParallelScanRows) {
-        auto pscan = std::make_unique<ParallelScanOp>(
-            from[t].table, read_ts, table_preds[t], projections[t], pctx);
-        pscan->set_estimates(rel_rows[t], d.cost);
+        ctx = pctx;
         any_parallel = true;
-        return pscan;
       }
       auto scan = std::make_unique<ScanOp>(from[t].table, read_ts,
                                            table_preds[t], projections[t],
-                                           path);
+                                           path, ctx);
       scan->set_estimates(rel_rows[t], d.cost);
       out.scans[static_cast<size_t>(t)] = scan.get();
       return scan;
@@ -737,19 +739,11 @@ Result<PlannedQuery> PlanSelect(const SelectStmt& stmt,
       if (output.size() == layout.size()) output.clear();  // full width
       layout = std::move(kept);
       sync_layout();
-      PhysicalOpPtr join;
-      if (par_enabled && dynamic_cast<MorselSource*>(scan.get()) != nullptr) {
-        // Probe side is morsel-parallel: partitioned parallel build +
-        // in-worker probe, fused into the scan's morsel pipeline.
-        join = std::make_unique<ParallelHashJoinOp>(
-            std::move(plan), std::move(scan), std::move(build_keys),
-            std::move(probe_keys), pctx, std::move(output));
-        any_parallel = true;
-      } else {
-        join = std::make_unique<HashJoinOp>(
-            std::move(plan), std::move(scan), std::move(build_keys),
-            std::move(probe_keys), std::move(output));
-      }
+      // The join runs in its probe scan's pipeline, at that scan's DOP.
+      const ParallelContext probe_ctx = scan->ctx();
+      auto join = std::make_unique<HashJoinOp>(
+          std::move(plan), std::move(scan), std::move(build_keys),
+          std::move(probe_keys), std::move(output), probe_ctx);
       join->set_estimates(interm[p], cum_cost);
       plan = std::move(join);
       placed[r] = true;
@@ -763,14 +757,9 @@ Result<PlannedQuery> PlanSelect(const SelectStmt& stmt,
       for (const ExprPtr& c : late_filters) {
         remapped.push_back(RemapGlobal(c, global_to_plan));
       }
-      ExprPtr pred = Expr::CombineConjuncts(remapped);
-      if (par_enabled && dynamic_cast<MorselSource*>(plan.get()) != nullptr) {
-        plan = std::make_unique<ParallelFilterOp>(std::move(plan),
-                                                  std::move(pred), pctx);
-        any_parallel = true;
-      } else {
-        plan = std::make_unique<FilterOp>(std::move(plan), std::move(pred));
-      }
+      const ParallelContext ctx = PipelineContext(plan.get());
+      plan = std::make_unique<FilterOp>(
+          std::move(plan), Expr::CombineConjuncts(remapped), ctx);
     }
   }
 
@@ -990,15 +979,12 @@ Result<PlannedQuery> PlanSelect(const SelectStmt& stmt,
       OLTAP_ASSIGN_OR_RETURN(having, bind_having(*stmt.having));
     }
 
-    if (par_enabled && dynamic_cast<MorselSource*>(plan.get()) != nullptr) {
-      // Thread-local pre-aggregation per morsel, merged in slot order —
-      // exact for every aggregate (float sums stay exact until finalized).
-      plan = std::make_unique<ParallelHashAggOp>(
-          std::move(plan), std::move(group_exprs), aggs, pctx);
-    } else {
-      plan = std::make_unique<HashAggOp>(std::move(plan),
-                                         std::move(group_exprs), aggs);
-    }
+    // Worker-local pre-aggregation per run of morsels, merged in slot
+    // order — exact for every aggregate (float sums stay exact until
+    // finalized).
+    const ParallelContext ctx = PipelineContext(plan.get());
+    plan = std::make_unique<HashAggOp>(std::move(plan),
+                                       std::move(group_exprs), aggs, ctx);
     if (having != nullptr) {
       plan = std::make_unique<FilterOp>(std::move(plan), std::move(having));
     }

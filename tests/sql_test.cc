@@ -493,8 +493,8 @@ TEST_F(SqlEndToEndTest, ShowStatsExposesEngineMetrics) {
   // dashboard contract. (The registry is process-global and shared across
   // tests, so only presence and monotonicity are asserted.)
   for (const char* name :
-       {"txn.commits", "txn.aborts", "mvcc.versions_installed",
-        "wal.records", "wal.batches", "wal.fsyncs", "wal.sealed",
+       {"txn.commits", "txn.aborts", "wal.records", "wal.batches",
+        "wal.fsyncs", "wal.sealed",
         "wal.batch_size.count", "wal.group_wait_us.count", "merge.runs",
         "2pc.commits", "net.messages",
         "raft.messages", "storage.freshness_lag_us", "storage.delta_rows",
