@@ -11,7 +11,7 @@
 #include "common/exact_sum.h"
 #include "exec/batch.h"
 #include "exec/expr.h"
-#include "exec/key_index.h"
+#include "exec/join_table.h"
 #include "exec/parallel/morsel.h"
 #include "obs/trace.h"
 #include "storage/column_store.h"

@@ -112,7 +112,9 @@ void RegisterCoreMetrics(MetricsRegistry* r) {
        {"wal.append_ns", "wal.fsync_ns", "wal.batch_size",
         "wal.group_wait_us", "txn.commit_ns",
         "wm.latency_us.oltp", "wm.latency_us.olap", "opt.qerror_x100",
-        "view.maintain_ns", "view.freshness_lag_us", "ckpt.duration_us"}) {
+        "view.maintain_ns", "view.freshness_lag_us", "ckpt.duration_us",
+        "recovery.select_us", "recovery.image_us", "recovery.tail_us",
+        "recovery.views_us"}) {
     r->GetHistogram(name);
   }
 }

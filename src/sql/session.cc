@@ -716,67 +716,81 @@ Result<Database::RecoveryReport> Database::RecoverFromCheckpointStore(
     const CheckpointStore& store, const std::string& wal_data,
     ThreadPool* pool) {
   RecoveryReport report;
-  Result<CheckpointStore::Image> image =
+  // Each phase's time lands in the report and in its recovery.*_us
+  // histogram; the four phases cover the call.
+  auto* registry = obs::MetricsRegistry::Default();
+  Stopwatch phase;
+  auto end_phase = [&](const char* metric, int64_t* us) {
+    *us = phase.ElapsedMicros();
+    registry->GetHistogram(metric)->Record(static_cast<uint64_t>(*us));
+    phase.Restart();
+  };
+
+  Result<const CheckpointStore::Image*> image =
       SelectRecoveryImage(store, &report.fallbacks);
   if (report.fallbacks > 0) {
-    obs::MetricsRegistry::Default()
-        ->GetCounter("ckpt.fallbacks")
-        ->Add(report.fallbacks);
+    registry->GetCounter("ckpt.fallbacks")->Add(report.fallbacks);
   }
-  if (!image.ok()) {
-    if (!image.status().IsNotFound()) return image.status();
-    // Nothing usable in the store (all images torn, or the daemon never
-    // completed a round): full WAL replay over pre-created tables.
-    OLTAP_ASSIGN_OR_RETURN(report.stats, RecoverFromWal(wal_data, pool));
-    report.tail_txns = report.stats.txns_applied;
-    return report;
-  }
+  if (!image.ok() && !image.status().IsNotFound()) return image.status();
+  end_phase("recovery.select_us", &report.select_us);
 
-  CheckpointContents contents;
-  OLTAP_ASSIGN_OR_RETURN(
-      Wal::ReplayStats ckpt_stats,
-      RestoreCheckpoint(image->data, &catalog_, &contents, pool));
-
-  // Validate the carried view DDL up front: the tail replay must skip the
-  // views' backing tables (their WAL records are maintenance output;
-  // re-running the DDL below rebuilds them from the recovered bases).
-  std::vector<sql::Statement> view_stmts;
+  // With no usable image in the store (all images torn, or the daemon
+  // never completed a round), the tail is the full WAL, replayed over
+  // pre-created tables.
   Wal::ReplayOptions options;
-  for (const std::string& ddl : contents.view_ddls) {
-    OLTAP_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(ddl));
-    if (stmt.kind != sql::Statement::Kind::kCreateView) {
-      return Status::Corruption("checkpoint view section holds a non-view "
-                                "statement: " + ddl);
-    }
-    options.skip_tables.push_back(stmt.create_view->name);
-    view_stmts.push_back(std::move(stmt));
-  }
-
   options.idempotent = true;
-  options.skip_through_ts = contents.ts;
+  std::vector<sql::Statement> view_stmts;
+  Wal::ReplayStats ckpt_stats;
+  if (image.ok()) {
+    CheckpointContents contents;
+    OLTAP_ASSIGN_OR_RETURN(
+        ckpt_stats,
+        RestoreSelectedImage(**image, &catalog_, &contents, pool));
+    // Validate the carried view DDL up front: the tail replay must skip
+    // the views' backing tables (their WAL records are maintenance
+    // output; re-running the DDL below rebuilds them from the recovered
+    // bases).
+    for (const std::string& ddl : contents.view_ddls) {
+      OLTAP_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(ddl));
+      if (stmt.kind != sql::Statement::Kind::kCreateView) {
+        return Status::Corruption("checkpoint view section holds a non-view "
+                                  "statement: " + ddl);
+      }
+      options.skip_tables.push_back(stmt.create_view->name);
+      view_stmts.push_back(std::move(stmt));
+    }
+    options.skip_through_ts = contents.ts;
+    report.checkpoint_id = (*image)->id;
+    report.checkpoint_ts = contents.ts;
+  }
+  end_phase("recovery.image_us", &report.image_us);
+
   OLTAP_ASSIGN_OR_RETURN(
       Wal::ReplayStats tail_stats,
       Wal::ReplayParallel(wal_data, &catalog_, pool, options));
-
   report.stats.txns_applied = ckpt_stats.txns_applied + tail_stats.txns_applied;
   report.stats.ops_applied = ckpt_stats.ops_applied + tail_stats.ops_applied;
   report.stats.max_commit_ts =
       std::max(ckpt_stats.max_commit_ts, tail_stats.max_commit_ts);
   report.stats.truncated_tail = tail_stats.truncated_tail;
-  report.checkpoint_id = image->id;
-  report.checkpoint_ts = contents.ts;
   report.tail_txns = tail_stats.txns_applied;
   txn_.AdvanceTo(report.stats.max_commit_ts);
+  end_phase("recovery.tail_us", &report.tail_us);
 
-  // Re-run the view DDL carried in the image: each CREATE re-registers the
-  // view, re-creates its backing table, and runs the initial build over
-  // the just-recovered bases — the same stale-on-recover rebuild
-  // RecoverFromWal does, driven from the image instead of live registry
-  // state.
-  for (const sql::Statement& stmt : view_stmts) {
-    if (views_.IsView(stmt.create_view->name)) continue;  // re-entrant run
-    OLTAP_RETURN_NOT_OK(views_.Create(*stmt.create_view));
+  if (image.ok()) {
+    // Re-run the view DDL carried in the image: each CREATE re-registers
+    // the view, re-creates its backing table, and runs the initial build
+    // over the just-recovered bases — the same stale-on-recover rebuild
+    // RecoverFromWal does, driven from the image instead of live registry
+    // state.
+    for (const sql::Statement& stmt : view_stmts) {
+      if (views_.IsView(stmt.create_view->name)) continue;  // re-entrant run
+      OLTAP_RETURN_NOT_OK(views_.Create(*stmt.create_view));
+    }
+  } else {
+    OLTAP_RETURN_NOT_OK(views_.RebuildAllAfterRecovery());
   }
+  end_phase("recovery.views_us", &report.views_us);
   return report;
 }
 

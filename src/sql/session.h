@@ -82,6 +82,11 @@ class Database {
     Timestamp checkpoint_ts = 0;
     size_t fallbacks = 0;  // torn images/manifest entries skipped over
     size_t tail_txns = 0;  // transactions replayed from the WAL tail
+    // Phase times, in order; they also feed the recovery.*_us histograms.
+    int64_t select_us = 0;  // choosing and verifying the image
+    int64_t image_us = 0;   // restoring it (0 without an image)
+    int64_t tail_us = 0;    // replaying the WAL past it
+    int64_t views_us = 0;   // rebuilding materialized views
   };
 
   // Bounded recovery: pick the newest valid image from `store` (falling

@@ -113,12 +113,18 @@ DeltaStore* ColumnTable::DeltaFor(const Location& loc) {
 
 bool ColumnTable::NewestLive(const KeyEntry& e, Timestamp ts,
                              Location* loc) const {
-  if (e.versions.empty()) return false;
-  const Location& newest = e.versions.back();
+  const Location& newest = e.newest;
   bool live = newest.in_delta ? DeltaFor(newest)->VisibleAt(newest.idx, ts)
                               : main_->VisibleAt(newest.idx, ts);
   if (live && loc != nullptr) *loc = newest;
   return live;
+}
+
+void ColumnTable::PushVersion(KeyEntry* e, Location loc, Timestamp ts) {
+  older_.push_back(OlderVersion{e->newest, e->older});
+  e->older = static_cast<uint32_t>(older_.size() - 1);
+  e->newest = loc;
+  e->last_write_ts = ts;
 }
 
 bool ColumnTable::ReadAt(const Location& loc, Timestamp read_ts,
@@ -131,54 +137,38 @@ bool ColumnTable::ReadAt(const Location& loc, Timestamp read_ts,
   return true;
 }
 
-Status ColumnTable::InsertCommitted(const Row& row, Timestamp ts) {
+Status ColumnTable::InsertCommitted(Row row, Timestamp ts) {
   if (row.size() != schema_.num_columns()) {
     return Status::InvalidArgument("row arity mismatch");
   }
   if (!keyed_) {
     std::shared_lock lock(index_mu_);  // pin delta_ against merge republish
-    delta_->Append(row, ts);
+    delta_->Append(std::move(row), ts);
     return Status::OK();
   }
   std::string key = EncodeKey(schema_, row);
+  uint64_t hash = KeyIndex::Hash(key);
   std::unique_lock lock(index_mu_);
-  KeyEntry& entry = key_index_[key];
-  if (NewestLive(entry, ts, nullptr)) {
+  bool inserted = false;
+  uint32_t id = key_index_.FindOrInsert(key, hash, &inserted);
+  if (!inserted && NewestLive(entries_[id], ts, nullptr)) {
     return Status::AlreadyExists("duplicate primary key");
   }
-  uint32_t idx = delta_->Append(row, ts);
-  entry.versions.push_back(Location{true, delta_gen_, idx});
-  entry.last_write_ts = ts;
+  Location loc{true, delta_gen_, delta_->Append(std::move(row), ts)};
+  if (inserted) {
+    entries_.push_back(KeyEntry{loc, kNoOlder, ts});
+  } else {
+    PushVersion(&entries_[id], loc, ts);
+  }
   return Status::OK();
 }
 
 Status ColumnTable::DeleteCommitted(std::string_view key, Timestamp ts) {
   if (!keyed_) return Status::FailedPrecondition("table has no primary key");
   std::unique_lock lock(index_mu_);
-  auto it = key_index_.find(std::string(key));
-  if (it == key_index_.end()) return Status::NotFound("key not found");
-  Location loc;
-  if (!NewestLive(it->second, ts, &loc)) {
-    return Status::NotFound("key not live");
-  }
-  if (loc.in_delta) {
-    DeltaFor(loc)->MarkDeleted(loc.idx, ts);
-  } else {
-    main_->MarkDeleted(loc.idx, ts);
-  }
-  it->second.last_write_ts = ts;
-  return Status::OK();
-}
-
-Status ColumnTable::UpdateCommitted(std::string_view key, const Row& new_row,
-                                    Timestamp ts) {
-  if (!keyed_) return Status::FailedPrecondition("table has no primary key");
-  OLTAP_DCHECK(EncodeKey(schema_, new_row) == key)
-      << "update must preserve the primary key";
-  std::unique_lock lock(index_mu_);
-  auto it = key_index_.find(std::string(key));
-  if (it == key_index_.end()) return Status::NotFound("key not found");
-  KeyEntry& entry = it->second;
+  uint32_t id = FindKey(key);
+  if (id == KeyIndex::kNone) return Status::NotFound("key not found");
+  KeyEntry& entry = entries_[id];
   Location loc;
   if (!NewestLive(entry, ts, &loc)) {
     return Status::NotFound("key not live");
@@ -188,9 +178,30 @@ Status ColumnTable::UpdateCommitted(std::string_view key, const Row& new_row,
   } else {
     main_->MarkDeleted(loc.idx, ts);
   }
-  uint32_t idx = delta_->Append(new_row, ts);
-  entry.versions.push_back(Location{true, delta_gen_, idx});
   entry.last_write_ts = ts;
+  return Status::OK();
+}
+
+Status ColumnTable::UpdateCommitted(std::string_view key, Row new_row,
+                                    Timestamp ts) {
+  if (!keyed_) return Status::FailedPrecondition("table has no primary key");
+  OLTAP_DCHECK(EncodeKey(schema_, new_row) == key)
+      << "update must preserve the primary key";
+  std::unique_lock lock(index_mu_);
+  uint32_t id = FindKey(key);
+  if (id == KeyIndex::kNone) return Status::NotFound("key not found");
+  KeyEntry& entry = entries_[id];
+  Location loc;
+  if (!NewestLive(entry, ts, &loc)) {
+    return Status::NotFound("key not live");
+  }
+  if (loc.in_delta) {
+    DeltaFor(loc)->MarkDeleted(loc.idx, ts);
+  } else {
+    main_->MarkDeleted(loc.idx, ts);
+  }
+  uint32_t idx = delta_->Append(std::move(new_row), ts);
+  PushVersion(&entry, Location{true, delta_gen_, idx}, ts);
   return Status::OK();
 }
 
@@ -198,12 +209,13 @@ bool ColumnTable::Lookup(std::string_view key, Timestamp read_ts,
                          Row* out) const {
   if (!keyed_) return false;
   std::shared_lock lock(index_mu_);
-  auto it = key_index_.find(std::string(key));
-  if (it == key_index_.end()) return false;
-  const KeyEntry& entry = it->second;
+  uint32_t id = FindKey(key);
+  if (id == KeyIndex::kNone) return false;
+  const KeyEntry& entry = entries_[id];
   // Newest-to-oldest: the first version visible at read_ts wins.
-  for (auto v = entry.versions.rbegin(); v != entry.versions.rend(); ++v) {
-    if (ReadAt(*v, read_ts, out)) return true;
+  if (ReadAt(entry.newest, read_ts, out)) return true;
+  for (uint32_t v = entry.older; v != kNoOlder; v = older_[v].next) {
+    if (ReadAt(older_[v].loc, read_ts, out)) return true;
   }
   return false;
 }
@@ -211,8 +223,8 @@ bool ColumnTable::Lookup(std::string_view key, Timestamp read_ts,
 Timestamp ColumnTable::LastWriteTs(std::string_view key) const {
   if (!keyed_) return 0;
   std::shared_lock lock(index_mu_);
-  auto it = key_index_.find(std::string(key));
-  return it == key_index_.end() ? 0 : it->second.last_write_ts;
+  uint32_t id = FindKey(key);
+  return id == KeyIndex::kNone ? 0 : entries_[id].last_write_ts;
 }
 
 Status ColumnTable::BulkLoadToMain(const std::vector<Row>& rows,
@@ -223,33 +235,38 @@ Status ColumnTable::BulkLoadToMain(const std::vector<Row>& rows,
     return Status::FailedPrecondition("BulkLoadToMain requires empty table");
   }
   size_t n = rows.size();
+  for (const Row& row : rows) {
+    OLTAP_CHECK(row.size() == schema_.num_columns());
+  }
+  // Index first: a duplicate key leaves the table as it was.
+  KeyIndex index;
+  std::vector<KeyEntry> entries;
+  if (keyed_) {
+    index.Reserve(n);
+    entries.reserve(n);
+    for (size_t r = 0; r < n; ++r) {
+      std::string key = EncodeKey(schema_, rows[r]);
+      bool inserted = false;
+      index.FindOrInsert(key, KeyIndex::Hash(key), &inserted);
+      if (!inserted) {
+        return Status::AlreadyExists("duplicate primary key in bulk load");
+      }
+      entries.push_back(KeyEntry{Location{false, 0, static_cast<uint32_t>(r)},
+                                 kNoOlder, ts});
+    }
+  }
   std::vector<ColumnSegment> segments;
   segments.reserve(schema_.num_columns());
   std::vector<Value> column_values(n);
   for (size_t c = 0; c < schema_.num_columns(); ++c) {
-    for (size_t r = 0; r < n; ++r) {
-      OLTAP_CHECK(rows[r].size() == schema_.num_columns());
-      column_values[r] = rows[r][c];
-    }
+    for (size_t r = 0; r < n; ++r) column_values[r] = rows[r][c];
     segments.push_back(
         ColumnSegment::Build(schema_.column(c).type, column_values));
   }
-  auto fresh = std::make_shared<MainFragment>(std::move(segments), n, ts);
-  if (keyed_) {
-    key_index_.clear();
-    key_index_.reserve(n);
-    for (size_t r = 0; r < n; ++r) {
-      std::string key = EncodeKey(schema_, rows[r]);
-      KeyEntry& entry = key_index_[key];
-      if (!entry.versions.empty()) {
-        return Status::AlreadyExists("duplicate primary key in bulk load");
-      }
-      entry.versions.push_back(
-          Location{false, 0, static_cast<uint32_t>(r)});
-      entry.last_write_ts = ts;
-    }
-  }
-  main_ = std::move(fresh);
+  main_ = std::make_shared<MainFragment>(std::move(segments), n, ts);
+  key_index_ = std::move(index);
+  entries_ = std::move(entries);
+  older_.clear();
   return Status::OK();
 }
 

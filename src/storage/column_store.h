@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/bitvector.h"
+#include "common/key_index.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "storage/column_segment.h"
@@ -111,13 +112,13 @@ class ColumnTable {
 
   // ---- Committed-write API (transaction layer / bulk load) ----
 
-  // Fails with AlreadyExists if the primary key is live at `ts`.
-  Status InsertCommitted(const Row& row, Timestamp ts);
+  // Fails with AlreadyExists if the primary key is live at `ts`. The row
+  // moves into the delta.
+  Status InsertCommitted(Row row, Timestamp ts);
   // Fails with NotFound if the key is not live.
   Status DeleteCommitted(std::string_view key, Timestamp ts);
   // Delete + insert of the new image under one key entry.
-  Status UpdateCommitted(std::string_view key, const Row& new_row,
-                         Timestamp ts);
+  Status UpdateCommitted(std::string_view key, Row new_row, Timestamp ts);
 
   // Point read at read_ts through the key index (walks version history).
   bool Lookup(std::string_view key, Timestamp read_ts, Row* out) const;
@@ -164,11 +165,27 @@ class ColumnTable {
     uint32_t gen = 0;
     uint32_t idx = 0;
   };
+  static constexpr uint32_t kNoOlder = UINT32_MAX;
+  // One per key id, flat: the newest version inline, older versions as a
+  // newest-first chain through older_. Every id has a newest version; a
+  // merge that drops all of a key's versions drops the key.
   struct KeyEntry {
-    // Version locations, oldest→newest. Merge compacts this.
-    std::vector<Location> versions;
+    Location newest;
+    uint32_t older = kNoOlder;  // index into older_
     Timestamp last_write_ts = 0;
   };
+  struct OlderVersion {
+    Location loc;
+    uint32_t next = kNoOlder;
+  };
+
+  // Requires the index lock. The id of `key`, or KeyIndex::kNone.
+  uint32_t FindKey(std::string_view key) const {
+    return key_index_.Find(key, KeyIndex::Hash(key));
+  }
+  // Requires the exclusive index lock. Makes `loc` the newest version of
+  // `e`, written at `ts`.
+  void PushVersion(KeyEntry* e, Location loc, Timestamp ts);
 
   // Requires shared index lock held. Returns whether the newest version of
   // `e` is live (not deleted) as of `ts`, and its location.
@@ -185,8 +202,12 @@ class ColumnTable {
   Schema schema_;
   bool keyed_ = false;
 
+  // The primary-key index: key bytes to a dense id (one arena, open
+  // addressing), the id's versions in entries_/older_.
   mutable std::shared_mutex index_mu_;
-  std::unordered_map<std::string, KeyEntry> key_index_;
+  KeyIndex key_index_;
+  std::vector<KeyEntry> entries_;    // by key id
+  std::vector<OlderVersion> older_;  // chains of superseded versions
 
   mutable std::mutex snap_mu_;  // guards the shared_ptrs below
   std::shared_ptr<MainFragment> main_;

@@ -139,9 +139,9 @@ size_t RowTable::ScanRange(std::string_view start_key, size_t limit,
 
 DualTable::DualTable(Schema schema) : row_(schema), column_(schema) {}
 
-Status DualTable::InsertCommitted(const Row& row, Timestamp ts) {
+Status DualTable::InsertCommitted(Row row, Timestamp ts) {
   OLTAP_RETURN_NOT_OK(row_.InsertCommitted(row, ts));
-  Status col = column_.InsertCommitted(row, ts);
+  Status col = column_.InsertCommitted(std::move(row), ts);
   // The mirrors run identical checks against identical state; divergence
   // would mean the formats are out of sync, which must never happen.
   OLTAP_CHECK(col.ok()) << "dual-format divergence: " << col.ToString();
@@ -155,10 +155,10 @@ Status DualTable::DeleteCommitted(std::string_view key, Timestamp ts) {
   return Status::OK();
 }
 
-Status DualTable::UpdateCommitted(std::string_view key, const Row& new_row,
+Status DualTable::UpdateCommitted(std::string_view key, Row new_row,
                                   Timestamp ts) {
   OLTAP_RETURN_NOT_OK(row_.UpdateCommitted(key, new_row, ts));
-  Status col = column_.UpdateCommitted(key, new_row, ts);
+  Status col = column_.UpdateCommitted(key, std::move(new_row), ts);
   OLTAP_CHECK(col.ok()) << "dual-format divergence: " << col.ToString();
   return Status::OK();
 }

@@ -74,10 +74,10 @@ class DualTable {
 
   const Schema& schema() const { return row_.schema(); }
 
-  Status InsertCommitted(const Row& row, Timestamp ts);
+  // The row mirror copies the row; the columnar mirror takes it.
+  Status InsertCommitted(Row row, Timestamp ts);
   Status DeleteCommitted(std::string_view key, Timestamp ts);
-  Status UpdateCommitted(std::string_view key, const Row& new_row,
-                         Timestamp ts);
+  Status UpdateCommitted(std::string_view key, Row new_row, Timestamp ts);
 
   // Point reads are served from the row mirror.
   bool Lookup(std::string_view key, Timestamp read_ts, Row* out) const {

@@ -10,7 +10,8 @@
 //   2. Build   — construct the new main from (old main minus GC-able
 //                deletes) + frozen delta, without any table-wide lock.
 //   3. Publish — under the index lock, re-apply deletes that raced with the
-//                build, rewrite key-index locations, and swap the main in.
+//                build, remap the key index's locations (one pass over
+//                its dense arrays), and swap the main in.
 // Snapshots taken at any point remain valid: they pin the structures they
 // saw via shared_ptr.
 
@@ -161,40 +162,82 @@ class MergeJob {
       }
     }
 
-    // Rewrite key-index locations: old-main and frozen-delta versions now
-    // live in the new main (or are gone).
-    if (t_->keyed_) {
-      for (auto it = t_->key_index_.begin(); it != t_->key_index_.end();) {
-        auto& versions = it->second.versions;
-        std::vector<ColumnTable::Location> rewritten;
-        rewritten.reserve(versions.size());
-        for (const ColumnTable::Location& loc : versions) {
-          if (!loc.in_delta) {
-            RowId mapped = main_to_new_[loc.idx];
-            if (mapped != kInvalidRowId) {
-              rewritten.push_back({false, 0, mapped});
-            }
-          } else if (loc.gen == frozen_gen_) {
-            RowId mapped = delta_to_new_[loc.idx];
-            if (mapped != kInvalidRowId) {
-              rewritten.push_back({false, 0, mapped});
-            }
-          } else {
-            rewritten.push_back(loc);  // current delta, untouched
-          }
-        }
-        if (rewritten.empty()) {
-          it = t_->key_index_.erase(it);
-        } else {
-          versions = std::move(rewritten);
-          ++it;
-        }
-      }
-    }
+    if (t_->keyed_) RemapIndex();
 
     std::lock_guard<std::mutex> snap_lock(t_->snap_mu_);
     t_->main_ = new_main_;
     t_->frozen_delta_.reset();
+  }
+
+  // Rewrites the key index in one pass over its dense arrays: old-main and
+  // frozen-delta versions now live in the new main (or are gone), and the
+  // older-version chains are rebuilt compactly. A key left with no version
+  // must disappear, as if never written (LastWriteTs 0), so deletes cannot
+  // grow the index without bound; when the merge found such keys, the
+  // KeyIndex is rebuilt from the surviving ids with their stored hashes.
+  // Caller holds the exclusive index lock.
+  void RemapIndex() {
+    using Location = ColumnTable::Location;
+    using OlderVersion = ColumnTable::OlderVersion;
+    constexpr uint32_t kNoOlder = ColumnTable::kNoOlder;
+    auto remap = [&](const Location& loc, Location* out) {
+      RowId mapped;
+      if (!loc.in_delta) {
+        mapped = main_to_new_[loc.idx];
+      } else if (loc.gen == frozen_gen_) {
+        mapped = delta_to_new_[loc.idx];
+      } else {
+        *out = loc;  // current delta, untouched
+        return true;
+      }
+      if (mapped == kInvalidRowId) return false;
+      *out = Location{false, 0, mapped};
+      return true;
+    };
+
+    std::vector<ColumnTable::KeyEntry>& entries = t_->entries_;
+    const std::vector<OlderVersion>& old_older = t_->older_;
+    std::vector<OlderVersion> older;
+    std::vector<bool> dead(entries.size(), false);
+    size_t num_dead = 0;
+    for (size_t id = 0; id < entries.size(); ++id) {
+      ColumnTable::KeyEntry& e = entries[id];
+      // Each version was deleted no later than the next one was written,
+      // so a dropped newest version means every version was dropped.
+      if (!remap(e.newest, &e.newest)) {
+        dead[id] = true;
+        ++num_dead;
+        continue;
+      }
+      uint32_t head = kNoOlder, prev = kNoOlder;
+      for (uint32_t v = e.older; v != kNoOlder; v = old_older[v].next) {
+        Location loc;
+        if (!remap(old_older[v].loc, &loc)) continue;
+        uint32_t at = static_cast<uint32_t>(older.size());
+        older.push_back(OlderVersion{loc, kNoOlder});
+        (prev == kNoOlder ? head : older[prev].next) = at;
+        prev = at;
+      }
+      e.older = head;
+    }
+    t_->older_ = std::move(older);
+    if (num_dead == 0) return;
+
+    const KeyIndex& old_index = t_->key_index_;
+    KeyIndex index;
+    index.Reserve(entries.size() - num_dead);
+    std::vector<ColumnTable::KeyEntry> kept;
+    kept.reserve(entries.size() - num_dead);
+    for (size_t id = 0; id < entries.size(); ++id) {
+      if (dead[id]) continue;
+      uint32_t old_id = static_cast<uint32_t>(id);
+      bool inserted = false;
+      index.FindOrInsert(old_index.key(old_id), old_index.hash(old_id),
+                         &inserted);
+      kept.push_back(entries[id]);
+    }
+    t_->key_index_ = std::move(index);
+    entries = std::move(kept);
   }
 
   ColumnTable* t_;

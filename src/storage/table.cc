@@ -34,23 +34,28 @@ Table::Table(std::string name, Schema schema, TableFormat format)
   }
 }
 
-Status Table::InsertCommitted(const Row& row, Timestamp ts) {
+Status Table::InsertCommitted(Row row, Timestamp ts) {
+  ChangeLog* log = change_log();
+  // The engine takes the row unless the change log needs it afterwards.
+  auto take = [&]() -> Row {
+    return log != nullptr ? Row(row) : std::move(row);
+  };
   Status s = Status::Internal("bad format");
   switch (format_) {
     case TableFormat::kRow:
       s = row_->InsertCommitted(row, ts);
       break;
     case TableFormat::kColumn:
-      s = column_->InsertCommitted(row, ts);
+      s = column_->InsertCommitted(take(), ts);
       break;
     case TableFormat::kDual:
-      s = dual_->InsertCommitted(row, ts);
+      s = dual_->InsertCommitted(take(), ts);
       break;
   }
   if (s.ok()) {
     mod_count_.fetch_add(1, std::memory_order_relaxed);
-    if (ChangeLog* log = change_log()) {
-      log->Append({ChangeLog::Kind::kInsert, row, ts,
+    if (log != nullptr) {
+      log->Append({ChangeLog::Kind::kInsert, std::move(row), ts,
                    SystemClock::Get()->NowMicros()});
     }
   }
@@ -86,22 +91,25 @@ Status Table::DeleteCommitted(std::string_view key, Timestamp ts) {
   return s;
 }
 
-Status Table::UpdateCommitted(std::string_view key, const Row& new_row,
+Status Table::UpdateCommitted(std::string_view key, Row new_row,
                               Timestamp ts) {
   Row pre;
   bool have_pre = false;
   ChangeLog* log = change_log();
   if (log != nullptr) have_pre = Lookup(key, ts, &pre);
+  auto take = [&]() -> Row {
+    return log != nullptr ? Row(new_row) : std::move(new_row);
+  };
   Status s = Status::Internal("bad format");
   switch (format_) {
     case TableFormat::kRow:
       s = row_->UpdateCommitted(key, new_row, ts);
       break;
     case TableFormat::kColumn:
-      s = column_->UpdateCommitted(key, new_row, ts);
+      s = column_->UpdateCommitted(key, take(), ts);
       break;
     case TableFormat::kDual:
-      s = dual_->UpdateCommitted(key, new_row, ts);
+      s = dual_->UpdateCommitted(key, take(), ts);
       break;
   }
   if (s.ok()) {
@@ -113,7 +121,7 @@ Status Table::UpdateCommitted(std::string_view key, const Row& new_row,
       if (have_pre) {
         log->Append({ChangeLog::Kind::kDelete, std::move(pre), ts, now});
       }
-      log->Append({ChangeLog::Kind::kInsert, new_row, ts, now});
+      log->Append({ChangeLog::Kind::kInsert, std::move(new_row), ts, now});
     }
   }
   return s;

@@ -40,10 +40,11 @@ class Table {
   const Schema& schema() const { return schema_; }
   TableFormat format() const { return format_; }
 
-  Status InsertCommitted(const Row& row, Timestamp ts);
+  // Inserts and updates take the row: the columnar engines move it into
+  // their delta, and only an active change log keeps a copy of its own.
+  Status InsertCommitted(Row row, Timestamp ts);
   Status DeleteCommitted(std::string_view key, Timestamp ts);
-  Status UpdateCommitted(std::string_view key, const Row& new_row,
-                         Timestamp ts);
+  Status UpdateCommitted(std::string_view key, Row new_row, Timestamp ts);
 
   bool Lookup(std::string_view key, Timestamp read_ts, Row* out) const;
   Timestamp LastWriteTs(std::string_view key) const;

@@ -156,12 +156,12 @@ Status MatchSchema(const TableDef& def, const Table& table) {
   return Status::OK();
 }
 
-// Parses the image header + catalog + view sections; on success *r points
-// at the data section (whose length was validated by the checksum check).
-Status ParseImagePrefix(const std::string& image, Reader* r, Timestamp* ts,
+// Parses the header + catalog + view sections of an image that passed
+// CheckpointIsValid; on success *r spans the data section.
+Status ParseImagePrefix(std::string_view image, Reader* r, Timestamp* ts,
                         std::vector<TableDef>* tables,
                         std::vector<std::string>* view_ddls) {
-  if (!CheckpointIsValid(image)) {
+  if (image.size() < sizeof(kImageMagic) + 8 + 8) {
     return Status::Corruption("checkpoint is torn");
   }
   r->p = image.data() + sizeof(kImageMagic);
@@ -196,24 +196,73 @@ Status ParseImagePrefix(const std::string& image, Reader* r, Timestamp* ts,
   return Status::OK();
 }
 
-}  // namespace
+// RestoreCheckpoint past its checksum check: `image` passed
+// CheckpointIsValid, and its data section replays in place.
+Result<Wal::ReplayStats> RestoreValidImage(std::string_view image,
+                                           Catalog* catalog,
+                                           CheckpointContents* contents,
+                                           ThreadPool* pool) {
+  OLTAP_FAILPOINT("checkpoint.restore.error");
+  Reader r{nullptr, nullptr};
+  Timestamp ts = 0;
+  std::vector<TableDef> tables;
+  std::vector<std::string> view_ddls;
+  OLTAP_RETURN_NOT_OK(ParseImagePrefix(image, &r, &ts, &tables, &view_ddls));
 
-uint64_t CheckpointChecksum(const std::string& image) {
-  return HashBytes(image.data(), image.size()) ^ kImageChecksumSalt;
+  // Schema pass before any data is applied: verify every pre-existing
+  // table, then create the missing ones. A mismatch leaves the catalog
+  // untouched.
+  for (const TableDef& def : tables) {
+    if (const Table* existing = catalog->GetTable(def.name)) {
+      OLTAP_RETURN_NOT_OK(MatchSchema(def, *existing));
+    }
+  }
+  size_t created = 0, verified = 0;
+  for (const TableDef& def : tables) {
+    if (catalog->GetTable(def.name) != nullptr) {
+      ++verified;
+      continue;
+    }
+    std::vector<int> keys = def.key_columns;
+    OLTAP_RETURN_NOT_OK(catalog->CreateTable(
+        def.name, Schema(def.columns, std::move(keys)), def.format));
+    ++created;
+  }
+
+  // The image checksum covered the data section's frames too.
+  std::string_view data(r.p, static_cast<size_t>(r.end - r.p));
+  Wal::ReplayOptions options;
+  options.verify_frames = false;
+  OLTAP_ASSIGN_OR_RETURN(Wal::ReplayStats stats,
+                         Wal::ReplayParallel(data, catalog, pool, options));
+  stats.max_commit_ts = std::max(stats.max_commit_ts, ts);
+  if (contents != nullptr) {
+    contents->ts = ts;
+    contents->view_ddls = std::move(view_ddls);
+    contents->tables_created = created;
+    contents->tables_verified = verified;
+  }
+  return stats;
 }
 
-bool CheckpointIsValid(const std::string& image) {
+}  // namespace
+
+uint64_t CheckpointChecksum(std::string_view image) {
+  if (image.size() < 8) return 0;
+  Reader r{image.data() + image.size() - 8, image.data() + image.size()};
+  return r.U64();
+}
+
+bool CheckpointIsValid(std::string_view image) {
   if (image.size() < sizeof(kImageMagic) + 8 + 8) return false;
   if (std::memcmp(image.data(), kImageMagic, sizeof(kImageMagic)) != 0) {
     return false;
   }
-  const size_t body = image.size() - 8;
-  Reader r{image.data() + body, image.data() + image.size()};
-  uint64_t want = r.U64();
-  return (HashBytes(image.data(), body) ^ kImageChecksumSalt) == want;
+  return (HashBytes(image.data(), image.size() - 8) ^ kImageChecksumSalt) ==
+         CheckpointChecksum(image);
 }
 
-Result<Timestamp> CheckpointTimestamp(const std::string& image) {
+Result<Timestamp> CheckpointTimestamp(std::string_view image) {
   if (!CheckpointIsValid(image)) {
     return Status::Corruption("checkpoint is torn");
   }
@@ -301,63 +350,34 @@ Result<std::string> WriteCheckpoint(const Catalog& catalog, Timestamp ts,
   return image;
 }
 
-Result<Wal::ReplayStats> RestoreCheckpoint(const std::string& image,
+Result<Wal::ReplayStats> RestoreCheckpoint(std::string_view image,
                                            Catalog* catalog,
                                            CheckpointContents* contents,
                                            ThreadPool* pool) {
-  OLTAP_FAILPOINT("checkpoint.restore.error");
-  Reader r{nullptr, nullptr};
-  Timestamp ts = 0;
-  std::vector<TableDef> tables;
-  std::vector<std::string> view_ddls;
-  OLTAP_RETURN_NOT_OK(ParseImagePrefix(image, &r, &ts, &tables, &view_ddls));
+  // The one checksum pass, before anything touches the catalog.
+  if (!CheckpointIsValid(image)) {
+    return Status::Corruption("checkpoint is torn");
+  }
+  return RestoreValidImage(image, catalog, contents, pool);
+}
 
-  // Schema pass before any data is applied: verify every pre-existing
-  // table, then create the missing ones. A mismatch leaves the catalog
-  // untouched.
-  for (const TableDef& def : tables) {
-    if (const Table* existing = catalog->GetTable(def.name)) {
-      OLTAP_RETURN_NOT_OK(MatchSchema(def, *existing));
-    }
-  }
-  size_t created = 0, verified = 0;
-  for (const TableDef& def : tables) {
-    if (catalog->GetTable(def.name) != nullptr) {
-      ++verified;
-      continue;
-    }
-    std::vector<int> keys = def.key_columns;
-    OLTAP_RETURN_NOT_OK(catalog->CreateTable(
-        def.name, Schema(def.columns, std::move(keys)), def.format));
-    ++created;
-  }
-
-  std::string data(r.p, static_cast<size_t>(r.end - r.p));
-  OLTAP_ASSIGN_OR_RETURN(Wal::ReplayStats stats,
-                         Wal::ReplayParallel(data, catalog, pool));
-  stats.max_commit_ts = std::max(stats.max_commit_ts, ts);
-  if (contents != nullptr) {
-    contents->ts = ts;
-    contents->view_ddls = std::move(view_ddls);
-    contents->tables_created = created;
-    contents->tables_verified = verified;
-  }
-  return stats;
+Result<Wal::ReplayStats> RestoreSelectedImage(
+    const CheckpointStore::Image& image, Catalog* catalog,
+    CheckpointContents* contents, ThreadPool* pool) {
+  return RestoreValidImage(image.data, catalog, contents, pool);
 }
 
 Result<Wal::ReplayStats> RecoverFromCheckpointAndLog(
-    const std::string& checkpoint, const std::string& wal_data,
-    Catalog* catalog, ThreadPool* pool) {
+    std::string_view checkpoint, std::string_view wal_data, Catalog* catalog,
+    ThreadPool* pool) {
   // No checkpoint at all: recovery degrades to a full replay of the
   // retained log (tables must already exist in `catalog`).
   if (checkpoint.empty()) {
     return Wal::ReplayParallel(wal_data, catalog, pool, Wal::ReplayOptions{});
   }
-  // A torn checkpoint is rejected before anything is applied, so the
-  // caller can retry an older image against the same catalog.
-  if (!CheckpointIsValid(checkpoint)) {
-    return Status::Corruption("checkpoint is torn");
-  }
+  // RestoreCheckpoint rejects a torn checkpoint before anything is
+  // applied, so the caller can retry an older image against the same
+  // catalog.
   CheckpointContents contents;
   OLTAP_ASSIGN_OR_RETURN(
       Wal::ReplayStats snap_stats,
@@ -389,7 +409,7 @@ std::string SerializeManifest(
 }
 
 Result<std::vector<CheckpointManifestEntry>> ParseManifest(
-    const std::string& data) {
+    std::string_view data) {
   if (data.size() < sizeof(kManifestMagic) + 4 + 8 ||
       std::memcmp(data.data(), kManifestMagic, sizeof(kManifestMagic)) != 0) {
     return Status::Corruption("checkpoint manifest is torn");
@@ -420,8 +440,8 @@ Result<std::vector<CheckpointManifestEntry>> ParseManifest(
   return entries;
 }
 
-Result<CheckpointStore::Image> SelectRecoveryImage(const CheckpointStore& store,
-                                                   size_t* fallbacks) {
+Result<const CheckpointStore::Image*> SelectRecoveryImage(
+    const CheckpointStore& store, size_t* fallbacks) {
   size_t skipped = 0;
   auto find_image = [&](uint64_t id) -> const CheckpointStore::Image* {
     for (const CheckpointStore::Image& img : store.images) {
@@ -443,11 +463,13 @@ Result<CheckpointStore::Image> SelectRecoveryImage(const CheckpointStore& store,
         if (img.id > endorsed) ++skipped;
       }
       for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+        // The recorded checksum is the image's trailer: comparing it is
+        // free, and CheckpointIsValid is the one hash pass.
         const CheckpointStore::Image* img = find_image(it->id);
         if (img != nullptr && CheckpointChecksum(img->data) == it->checksum &&
             CheckpointIsValid(img->data)) {
           if (fallbacks != nullptr) *fallbacks = skipped;
-          return *img;
+          return img;
         }
         ++skipped;
       }
@@ -463,7 +485,7 @@ Result<CheckpointStore::Image> SelectRecoveryImage(const CheckpointStore& store,
       // An image the (valid) manifest does not endorse is one whose
       // manifest write never completed: usable, but only via fallback.
       if (fallbacks != nullptr) *fallbacks = skipped;
-      return *it;
+      return &*it;
     }
     ++skipped;
   }

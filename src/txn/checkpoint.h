@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -57,10 +58,10 @@ Result<std::string> WriteCheckpoint(const Catalog& catalog, Timestamp ts,
 
 // True when `image` carries the v2 magic and its salted whole-image
 // checksum matches. Cheap (one hash pass); run before mutating a catalog.
-bool CheckpointIsValid(const std::string& image);
+bool CheckpointIsValid(std::string_view image);
 
 // The checkpoint timestamp stored in a valid image header.
-Result<Timestamp> CheckpointTimestamp(const std::string& image);
+Result<Timestamp> CheckpointTimestamp(std::string_view image);
 
 // What RestoreCheckpoint found in the image besides table data.
 struct CheckpointContents {
@@ -70,13 +71,15 @@ struct CheckpointContents {
   size_t tables_verified = 0;  // already existed with matching schemas
 };
 
-// Restores a checkpoint image. Tables missing from `catalog` are created
-// from the serialized schemas (recovery from a truly empty catalog);
-// tables that already exist must match the serialized schema exactly —
-// a mismatch fails with kCorruption before any data is applied. With a
-// non-null `pool` the data section replays partitioned by table.
+// Restores a checkpoint image. A torn image fails with kCorruption before
+// anything is applied: the checksum is verified here, in one hash pass.
+// Tables missing from `catalog` are created from the serialized schemas
+// (recovery from a truly empty catalog); tables that already exist must
+// match the serialized schema exactly — a mismatch fails with kCorruption
+// before any data is applied. The data section replays in place; with a
+// non-null `pool` it replays partitioned by table.
 // Failpoint site: "checkpoint.restore.error".
-Result<Wal::ReplayStats> RestoreCheckpoint(const std::string& image,
+Result<Wal::ReplayStats> RestoreCheckpoint(std::string_view image,
                                            Catalog* catalog,
                                            CheckpointContents* contents = nullptr,
                                            ThreadPool* pool = nullptr);
@@ -97,8 +100,8 @@ Result<Wal::ReplayStats> RestoreCheckpoint(const std::string& image,
 // resulting state, recovery time bounded by the largest table instead of
 // the sum.
 Result<Wal::ReplayStats> RecoverFromCheckpointAndLog(
-    const std::string& checkpoint, const std::string& wal_data,
-    Catalog* catalog, ThreadPool* pool = nullptr);
+    std::string_view checkpoint, std::string_view wal_data, Catalog* catalog,
+    ThreadPool* pool = nullptr);
 
 // --- Checkpoint chain: versioned images + manifest -----------------------
 //
@@ -112,7 +115,7 @@ Result<Wal::ReplayStats> RecoverFromCheckpointAndLog(
 struct CheckpointManifestEntry {
   uint64_t id = 0;
   Timestamp ts = 0;
-  uint64_t checksum = 0;  // salted whole-image checksum of the image
+  uint64_t checksum = 0;  // the image's CheckpointChecksum
   uint64_t bytes = 0;
 };
 
@@ -131,22 +134,32 @@ struct CheckpointStore {
   bool empty() const { return images.empty() && manifest.empty(); }
 };
 
-// Salted whole-image checksum, as recorded in manifest entries.
-uint64_t CheckpointChecksum(const std::string& image);
+// The salted whole-image checksum an image carries in its trailer, as
+// recorded in manifest entries. Reading it costs no hash pass; only
+// CheckpointIsValid proves the image's bytes match it.
+uint64_t CheckpointChecksum(std::string_view image);
 
 std::string SerializeManifest(const std::vector<CheckpointManifestEntry>& entries);
 // kCorruption on a torn or checksum-failing manifest.
 Result<std::vector<CheckpointManifestEntry>> ParseManifest(
-    const std::string& data);
+    std::string_view data);
 
 // Picks the newest usable image from the store: walk the manifest newest-
 // first (entry's image must exist, match the recorded checksum, and pass
 // CheckpointIsValid); if the manifest is torn or exhausted, scan the
 // retained images newest-first validating each. Every candidate skipped
-// counts into *fallbacks (optional). kNotFound when no image qualifies —
-// recovery then replays the full retained WAL.
-Result<CheckpointStore::Image> SelectRecoveryImage(const CheckpointStore& store,
-                                                   size_t* fallbacks = nullptr);
+// counts into *fallbacks (optional). Returns the image in `store`, not a
+// copy. kNotFound when no image qualifies — recovery then replays the
+// full retained WAL.
+Result<const CheckpointStore::Image*> SelectRecoveryImage(
+    const CheckpointStore& store, size_t* fallbacks = nullptr);
+
+// RestoreCheckpoint for the image SelectRecoveryImage returned: selection
+// has verified its checksum, so the restore does not hash it again. Pass
+// no other image; anything else goes through RestoreCheckpoint.
+Result<Wal::ReplayStats> RestoreSelectedImage(
+    const CheckpointStore::Image& image, Catalog* catalog,
+    CheckpointContents* contents = nullptr, ThreadPool* pool = nullptr);
 
 }  // namespace oltap
 

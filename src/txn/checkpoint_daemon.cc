@@ -201,6 +201,14 @@ Result<CheckpointDaemon::CheckpointResult> CheckpointDaemon::CheckpointNow() {
     while (store_.images.size() > opts.keep_images) {
       store_.images.erase(store_.images.begin());
     }
+    // Endorsements of images the chain no longer retains go with them.
+    uint64_t oldest = store_.images.front().id;
+    endorsed_.erase(
+        std::remove_if(endorsed_.begin(), endorsed_.end(),
+                       [&](const CheckpointManifestEntry& e) {
+                         return e.id < oldest;
+                       }),
+        endorsed_.end());
 
     if (!valid) {
       // Crash mid-image-write ("checkpoint.write.torn"): the torn bytes
@@ -210,18 +218,10 @@ Result<CheckpointDaemon::CheckpointResult> CheckpointDaemon::CheckpointNow() {
       install_error =
           Status::Corruption("checkpoint image torn during write; not endorsed");
     } else {
-      std::vector<CheckpointManifestEntry> entries;
-      entries.reserve(store_.images.size());
-      for (const CheckpointStore::Image& img : store_.images) {
-        if (!CheckpointIsValid(img.data)) continue;  // never endorse torn
-        CheckpointManifestEntry e;
-        e.id = img.id;
-        e.ts = img.ts;
-        e.checksum = CheckpointChecksum(img.data);
-        e.bytes = img.data.size();
-        entries.push_back(e);
-      }
-      std::string manifest = SerializeManifest(entries);
+      const CheckpointStore::Image& img = store_.images.back();
+      endorsed_.push_back(CheckpointManifestEntry{
+          img.id, img.ts, CheckpointChecksum(img.data), img.data.size()});
+      std::string manifest = SerializeManifest(endorsed_);
       Status torn = OLTAP_FAILPOINT_STATUS("checkpoint.manifest.torn");
       if (!torn.ok()) {
         // Crash mid-manifest-write: the manifest on the device is garbage.

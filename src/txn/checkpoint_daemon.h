@@ -180,6 +180,10 @@ class CheckpointDaemon {
   // "durable device" lock CaptureCrashImage synchronizes with.
   mutable std::mutex store_mu_;
   CheckpointStore store_;
+  // Manifest entries of the retained images that verified at install,
+  // oldest first: torn images are never endorsed, and installed bytes
+  // never change, so no round re-hashes an older image.
+  std::vector<CheckpointManifestEntry> endorsed_;
   uint64_t next_image_id_ = 1;
   std::atomic<Timestamp> last_ckpt_ts_{0};
   std::atomic<int64_t> last_ckpt_wall_us_{-1};

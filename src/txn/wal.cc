@@ -200,9 +200,6 @@ Status ParseBody(const char* data, size_t len, DecodedTxn* out) {
   return Status::OK();
 }
 
-// Applies one op. With `idempotent`, a keyed op the table has already seen
-// (a write to that key at >= commit_ts) is skipped — `applied` reports
-// whether the op mutated the table.
 // Collapses a commit's writes to one net op per key. A transaction may
 // write the same key several times (a NewOrder drawing the same item
 // twice updates that stock row twice); the live commit applies them in
@@ -284,7 +281,11 @@ void CollapseDuplicateKeyOps(std::vector<WalOp>* ops) {
   for (WalOp& op : keyless) ops->push_back(std::move(op));
 }
 
-Status ApplyOp(Table* table, const WalOp& op, Timestamp commit_ts,
+// Applies one op, moving its row into the table. With `idempotent`, a
+// keyed op the table has already seen (a write to that key at >=
+// commit_ts) is skipped — `applied` reports whether the op mutated the
+// table.
+Status ApplyOp(Table* table, WalOp& op, Timestamp commit_ts,
                bool idempotent, bool* applied) {
   *applied = false;
   if (idempotent && !op.key.empty() &&
@@ -294,10 +295,10 @@ Status ApplyOp(Table* table, const WalOp& op, Timestamp commit_ts,
   Status st;
   switch (op.kind) {
     case WalOp::kInsert:
-      st = table->InsertCommitted(op.row, commit_ts);
+      st = table->InsertCommitted(std::move(op.row), commit_ts);
       break;
     case WalOp::kUpdate:
-      st = table->UpdateCommitted(op.key, op.row, commit_ts);
+      st = table->UpdateCommitted(op.key, std::move(op.row), commit_ts);
       break;
     case WalOp::kDelete:
       st = table->DeleteCommitted(op.key, commit_ts);
@@ -316,9 +317,10 @@ Status ApplyOp(Table* table, const WalOp& op, Timestamp commit_ts,
 
 // Walks the frames of `data`, calling `body_fn(ptr, len)` for every commit
 // body in every frame with a valid checksum (a batch frame yields one call
-// per sub-record). Stops at the first torn/corrupt frame, setting
-// *truncated. body_fn may return an error to abort the walk.
-Status ForEachBody(const std::string& data, bool* truncated,
+// per sub-record); with `verify` false the checksums are taken as given.
+// Stops at the first torn/corrupt frame, setting *truncated. body_fn may
+// return an error to abort the walk.
+Status ForEachBody(std::string_view data, bool verify, bool* truncated,
                    const std::function<Status(const char*, size_t)>& body_fn) {
   *truncated = false;
   Reader outer{data.data(), data.data() + data.size()};
@@ -329,7 +331,7 @@ Status ForEachBody(const std::string& data, bool* truncated,
     const uint32_t len = raw & ~kBatchFlag;
     if (is_batch) checksum ^= kBatchChecksumSalt;
     if (!outer.ok || !outer.Need(len) ||
-        HashBytes(outer.p, len) != checksum) {
+        (verify && HashBytes(outer.p, len) != checksum)) {
       *truncated = true;
       return Status::OK();
     }
@@ -611,7 +613,7 @@ void Wal::Seal() {
   SealLocked();
 }
 
-bool Wal::IsWellFormed(const std::string& data) {
+bool Wal::IsWellFormed(std::string_view data) {
   Reader outer{data.data(), data.data() + data.size()};
   while (outer.p < outer.end) {
     uint32_t raw = outer.U32();
@@ -700,22 +702,21 @@ Status Wal::TruncateBelow(Timestamp horizon, uint64_t* dropped_bytes) {
   return Status::OK();
 }
 
-Result<Wal::ReplayStats> Wal::Replay(const std::string& data,
-                                     Catalog* catalog,
+Result<Wal::ReplayStats> Wal::Replay(std::string_view data, Catalog* catalog,
                                      Timestamp skip_through_ts) {
   ReplayOptions options;
   options.skip_through_ts = skip_through_ts;
   return Replay(data, catalog, options);
 }
 
-Result<Wal::ReplayStats> Wal::Replay(const std::string& data, Catalog* catalog,
+Result<Wal::ReplayStats> Wal::Replay(std::string_view data, Catalog* catalog,
                                      const ReplayOptions& options) {
   const std::set<std::string> skipped(options.skip_tables.begin(),
                                       options.skip_tables.end());
   ReplayStats stats;
   DecodedTxn txn;
   Status walk = ForEachBody(
-      data, &stats.truncated_tail, [&](const char* p, size_t len) -> Status {
+      data, options.verify_frames, &stats.truncated_tail, [&](const char* p, size_t len) -> Status {
         OLTAP_RETURN_NOT_OK(ParseBody(p, len, &txn));
         // skip_through_ts == 0 skips nothing: live commits start at ts 1,
         // and ts-0 records (a checkpoint image's data section when the
@@ -726,7 +727,7 @@ Result<Wal::ReplayStats> Wal::Replay(const std::string& data, Catalog* catalog,
           return Status::OK();
         }
         CollapseDuplicateKeyOps(&txn.ops);
-        for (const WalOp& op : txn.ops) {
+        for (WalOp& op : txn.ops) {
           if (skipped.count(op.table) != 0) continue;
           Table* table = catalog->GetTable(op.table);
           if (table == nullptr) {
@@ -746,13 +747,13 @@ Result<Wal::ReplayStats> Wal::Replay(const std::string& data, Catalog* catalog,
   return stats;
 }
 
-Result<Wal::ReplayStats> Wal::ReplayParallel(const std::string& data,
+Result<Wal::ReplayStats> Wal::ReplayParallel(std::string_view data,
                                              Catalog* catalog,
                                              ThreadPool* pool) {
   return ReplayParallel(data, catalog, pool, ReplayOptions());
 }
 
-Result<Wal::ReplayStats> Wal::ReplayParallel(const std::string& data,
+Result<Wal::ReplayStats> Wal::ReplayParallel(std::string_view data,
                                              Catalog* catalog,
                                              ThreadPool* pool,
                                              const ReplayOptions& options) {
@@ -772,7 +773,7 @@ Result<Wal::ReplayStats> Wal::ReplayParallel(const std::string& data,
   ReplayStats stats;
   DecodedTxn txn;
   Status walk = ForEachBody(
-      data, &stats.truncated_tail, [&](const char* p, size_t len) -> Status {
+      data, options.verify_frames, &stats.truncated_tail, [&](const char* p, size_t len) -> Status {
         OLTAP_RETURN_NOT_OK(ParseBody(p, len, &txn));
         // Same ts-0 rule as serial Replay above.
         if (options.skip_through_ts > 0 &&
@@ -809,7 +810,7 @@ Result<Wal::ReplayStats> Wal::ReplayParallel(const std::string& data,
   pool->ParallelForChunked(work.size(), [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       TablePartition* part = work[i];
-      for (const auto& [commit_ts, op] : part->ops) {
+      for (auto& [commit_ts, op] : part->ops) {
         bool applied = false;
         Status st =
             ApplyOp(part->table, op, commit_ts, options.idempotent, &applied);

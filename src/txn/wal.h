@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -201,14 +202,18 @@ class Wal {
     // and re-running the carried view DDL rebuilds them from the
     // recovered bases instead.
     std::vector<std::string> skip_tables;
+    // False when the caller has already verified every byte of the data
+    // (a checkpoint image's data section, under the image's whole-image
+    // checksum): frames are then parsed without hashing each again.
+    bool verify_frames = true;
   };
 
   // Replays serialized log `data` into `catalog` (tables must already
-  // exist with matching schemas). Unless options.idempotent is set,
-  // replay into a fresh catalog.
-  static Result<ReplayStats> Replay(const std::string& data, Catalog* catalog,
+  // exist with matching schemas), reading it in place. Unless
+  // options.idempotent is set, replay into a fresh catalog.
+  static Result<ReplayStats> Replay(std::string_view data, Catalog* catalog,
                                     Timestamp skip_through_ts = 0);
-  static Result<ReplayStats> Replay(const std::string& data, Catalog* catalog,
+  static Result<ReplayStats> Replay(std::string_view data, Catalog* catalog,
                                     const ReplayOptions& options);
 
   // Parallel partitioned replay: one decode pass partitions the log's ops
@@ -219,10 +224,10 @@ class Wal {
   // AdvanceTo(stats.max_commit_ts) at the end. Unlike serial Replay,
   // nothing is applied if the log references an unknown table (the
   // decode pass fails first).
-  static Result<ReplayStats> ReplayParallel(const std::string& data,
+  static Result<ReplayStats> ReplayParallel(std::string_view data,
                                             Catalog* catalog, ThreadPool* pool,
                                             const ReplayOptions& options);
-  static Result<ReplayStats> ReplayParallel(const std::string& data,
+  static Result<ReplayStats> ReplayParallel(std::string_view data,
                                             Catalog* catalog, ThreadPool* pool);
 
   // Convenience: reads the file and replays it.
@@ -232,7 +237,7 @@ class Wal {
   // True when every frame in `data` parses with a valid checksum (no torn
   // tail). Scans frames without applying them — use to validate an image
   // before mutating a catalog with Replay.
-  static bool IsWellFormed(const std::string& data);
+  static bool IsWellFormed(std::string_view data);
 
  private:
   // One sealed (rotated-out, no longer appending) segment.

@@ -2,7 +2,9 @@
 
 #include "txn/checkpoint.h"
 
+#include "common/clock.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "sql/session.h"
 
 namespace oltap {
@@ -127,6 +129,50 @@ TEST(CheckpointTest, TornCheckpointRejected) {
       RecoverFromCheckpointAndLog(checkpoint, "", restored.catalog());
   EXPECT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), StatusCode::kCorruption);
+}
+
+TEST(CheckpointTest, TornImageLeavesCatalogUntouched) {
+  Database db;
+  ASSERT_TRUE(db.Execute(CreateSql()).ok());
+  for (int64_t i = 0; i < 40; ++i) {
+    ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (" + std::to_string(i) +
+                           ", 'a', 1.0)")
+                    .ok());
+  }
+  auto ck = WriteCheckpoint(*db.catalog(),
+                            db.txn_manager()->oracle()->CurrentReadTs());
+  ASSERT_TRUE(ck.ok());
+  // A tear at the end, and a bit flip inside the data section: either way
+  // the image's checksum fails.
+  std::string truncated = ck->substr(0, ck->size() - 5);
+  std::string flipped = *ck;
+  flipped[flipped.size() - 100] ^= 0x10;
+  for (const std::string& torn : {truncated, flipped}) {
+    Database empty;
+    auto restored = RestoreCheckpoint(torn, empty.catalog());
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(restored.status().code(), StatusCode::kCorruption);
+    EXPECT_TRUE(empty.catalog()->TableNames().empty());
+
+    auto recovered =
+        RecoverFromCheckpointAndLog(torn, "", empty.catalog());
+    ASSERT_FALSE(recovered.ok());
+    EXPECT_EQ(recovered.status().code(), StatusCode::kCorruption);
+    EXPECT_TRUE(empty.catalog()->TableNames().empty());
+
+    // A pre-created table is left empty, so an older image can restore
+    // into the same catalog.
+    Database precreated;
+    ASSERT_TRUE(precreated.Execute(CreateSql()).ok());
+    EXPECT_FALSE(RestoreCheckpoint(torn, precreated.catalog()).ok());
+    EXPECT_FALSE(
+        RecoverFromCheckpointAndLog(torn, "", precreated.catalog()).ok());
+    EXPECT_EQ(precreated.catalog()->GetTable("t")->CountVisible(kMaxTimestamp),
+              0u);
+    auto good = RestoreCheckpoint(*ck, precreated.catalog());
+    ASSERT_TRUE(good.ok()) << good.status().ToString();
+    EXPECT_EQ(good->ops_applied, 40u);
+  }
 }
 
 // --- Catalog + view sections (recovery from an empty catalog) -------------
@@ -290,7 +336,7 @@ TEST(CheckpointTest, SelectRecoveryImagePrefersNewestManifestEntry) {
   size_t fallbacks = 99;
   auto image = SelectRecoveryImage(store, &fallbacks);
   ASSERT_TRUE(image.ok()) << image.status().ToString();
-  EXPECT_EQ(image->id, 2u);
+  EXPECT_EQ((*image)->id, 2u);
   EXPECT_EQ(fallbacks, 0u);
 }
 
@@ -304,12 +350,12 @@ TEST(CheckpointTest, TornNewestImageFallsBackToOlderEntry) {
   size_t fallbacks = 0;
   auto image = SelectRecoveryImage(store, &fallbacks);
   ASSERT_TRUE(image.ok()) << image.status().ToString();
-  EXPECT_EQ(image->id, 1u);
+  EXPECT_EQ((*image)->id, 1u);
   EXPECT_GE(fallbacks, 1u);
 
   // The survivor actually restores.
   Database restored;
-  auto stats = RestoreCheckpoint(image->data, restored.catalog());
+  auto stats = RestoreCheckpoint((*image)->data, restored.catalog());
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->ops_applied, 10u);
 }
@@ -322,8 +368,77 @@ TEST(CheckpointTest, TornManifestFallsBackToImageScan) {
   size_t fallbacks = 0;
   auto image = SelectRecoveryImage(store, &fallbacks);
   ASSERT_TRUE(image.ok()) << image.status().ToString();
-  EXPECT_EQ(image->id, 2u);  // newest valid image wins even without manifest
+  EXPECT_EQ((*image)->id, 2u);  // newest valid image wins even without manifest
   EXPECT_GE(fallbacks, 1u);
+}
+
+TEST(CheckpointTest, SelectRecoveryImageReturnsTheStoredImage) {
+  Database db;
+  ASSERT_TRUE(db.Execute(CreateSql()).ok());
+  CheckpointStore store = TwoImageStore(&db);
+  auto image = SelectRecoveryImage(store);
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  EXPECT_EQ(*image, &store.images[1]);
+  EXPECT_EQ((*image)->data.data(), store.images[1].data.data());
+
+  // The manifest records each image's trailing checksum.
+  auto entries = ParseManifest(store.manifest);
+  ASSERT_TRUE(entries.ok());
+  for (size_t i = 0; i < entries->size(); ++i) {
+    const std::string& data = store.images[i].data;
+    uint64_t trailer = 0;
+    for (int b = 0; b < 8; ++b) {
+      trailer |= static_cast<uint64_t>(
+                     static_cast<uint8_t>(data[data.size() - 8 + b]))
+                 << (8 * b);
+    }
+    EXPECT_EQ((*entries)[i].checksum, trailer);
+  }
+}
+
+TEST(CheckpointTest, RecoveryPhasesCoverTheCall) {
+  Wal wal;
+  Database db(&wal);
+  ASSERT_TRUE(db.Execute(CreateSql()).ok());
+  CheckpointStore store = TwoImageStore(&db);
+  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (100, 'tail', 1.0)").ok());
+
+  auto* registry = obs::MetricsRegistry::Default();
+  const char* kPhases[] = {"recovery.select_us", "recovery.image_us",
+                           "recovery.tail_us", "recovery.views_us"};
+  std::vector<uint64_t> before;
+  for (const char* name : kPhases) {
+    before.push_back(registry->GetHistogram(name)->count());
+  }
+
+  Database recovered;
+  Stopwatch wall;
+  auto report = recovered.RecoverFromCheckpointStore(store, wal.buffer());
+  int64_t wall_us = wall.ElapsedMicros();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->checkpoint_id, 2u);
+  EXPECT_EQ(report->tail_txns, 1u);
+  EXPECT_GE(report->select_us, 0);
+  EXPECT_GE(report->image_us, 0);
+  EXPECT_GE(report->tail_us, 0);
+  EXPECT_GE(report->views_us, 0);
+  EXPECT_LE(report->select_us + report->image_us + report->tail_us +
+                report->views_us,
+            wall_us);
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(registry->GetHistogram(kPhases[i])->count(), before[i] + 1)
+        << kPhases[i];
+  }
+
+  auto stats = recovered.Execute("SHOW STATS");
+  ASSERT_TRUE(stats.ok());
+  for (const char* name : kPhases) {
+    bool listed = false;
+    for (const Row& row : stats->rows) {
+      listed |= row[0].AsString() == std::string(name) + ".count";
+    }
+    EXPECT_TRUE(listed) << name;
+  }
 }
 
 TEST(CheckpointTest, NoUsableImageReportsNotFound) {

@@ -232,6 +232,117 @@ TEST(MergeTest, ConcurrentMergersSerialize) {
   EXPECT_EQ(VisibleSet(table, 2000).size(), 500u);
 }
 
+TEST(MergeTest, ConcurrentWritersMergesAndLookups) {
+  // Writers own disjoint key ranges and check their own writes; a merger
+  // folds the delta at a horizon no writer or reader is below; readers
+  // look keys up throughout. At the end the table matches every writer's
+  // model, and keys whose versions were all collected read as never
+  // written.
+  constexpr int kWriters = 3;
+  constexpr int64_t kKeysPerWriter = 64;
+  ColumnTable table(TestSchema());
+  std::atomic<Timestamp> clock{1};
+  // Oldest timestamp each writer and reader may still read at.
+  std::vector<std::atomic<Timestamp>> pins(kWriters + 2);
+  for (auto& p : pins) p.store(1);
+  std::atomic<int> writers_left{kWriters};
+  std::atomic<int> failures{0};
+
+  struct KeyModel {
+    bool live = false;
+    int64_t v = 0;
+    Timestamp last_write = 0;
+  };
+  std::vector<std::vector<KeyModel>> models(
+      kWriters, std::vector<KeyModel>(kKeysPerWriter));
+
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      Rng rng(100 + w);
+      for (int step = 0; step < 1500; ++step) {
+        int64_t k = static_cast<int64_t>(rng.Uniform(kKeysPerWriter));
+        int64_t id = w * kKeysPerWriter + k;
+        KeyModel& m = models[w][k];
+        Timestamp ts = clock.fetch_add(1) + 1;
+        int64_t v = step;
+        Status st;
+        if (!m.live) {
+          st = table.InsertCommitted(MakeRow(id, v), ts);
+          m.live = true;
+        } else if (rng.Bernoulli(0.5)) {
+          st = table.UpdateCommitted(KeyOf(id), MakeRow(id, v), ts);
+        } else {
+          st = table.DeleteCommitted(KeyOf(id), ts);
+          m.live = false;
+        }
+        m.v = v;
+        m.last_write = ts;
+        Row out;
+        bool found = table.Lookup(KeyOf(id), ts, &out);
+        if (!st.ok() || found != m.live ||
+            (found && out[1].AsInt64() != v) ||
+            table.LastWriteTs(KeyOf(id)) != ts) {
+          failures.fetch_add(1);
+        }
+        pins[w].store(ts);
+      }
+      pins[w].store(kMaxTimestamp);
+      writers_left.fetch_sub(1);
+    });
+  }
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&, r] {
+      Rng rng(200 + r);
+      std::atomic<Timestamp>& pin = pins[kWriters + r];
+      while (writers_left.load() > 0) {
+        // Publish the pin before reading at it: the merger's horizon
+        // never passes a read in flight.
+        Timestamp ts = clock.load();
+        pin.store(ts);
+        int64_t id =
+            static_cast<int64_t>(rng.Uniform(kWriters * kKeysPerWriter));
+        Row out;
+        if (table.Lookup(KeyOf(id), ts, &out) && out[0].AsInt64() != id) {
+          failures.fetch_add(1);
+        }
+        table.LastWriteTs(KeyOf(id));
+      }
+      pin.store(kMaxTimestamp);
+    });
+  }
+  std::thread merger([&] {
+    while (writers_left.load() > 0) {
+      Timestamp horizon = kMaxTimestamp;
+      for (auto& p : pins) horizon = std::min(horizon, p.load());
+      table.MergeDelta(clock.load(), horizon);
+      std::this_thread::yield();
+    }
+  });
+  for (auto& t : threads) t.join();
+  merger.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(table.num_merges(), 0u);
+
+  Timestamp end = clock.load() + 1;
+  table.MergeDelta(end, end);
+  for (int w = 0; w < kWriters; ++w) {
+    for (int64_t k = 0; k < kKeysPerWriter; ++k) {
+      int64_t id = w * kKeysPerWriter + k;
+      const KeyModel& m = models[w][k];
+      Row out;
+      bool found = table.Lookup(KeyOf(id), end, &out);
+      ASSERT_EQ(found, m.live) << "id " << id;
+      if (found) {
+        EXPECT_EQ(out[1].AsInt64(), m.v) << "id " << id;
+      }
+      // A deleted key's versions are all behind the final horizon.
+      EXPECT_EQ(table.LastWriteTs(KeyOf(id)), m.live ? m.last_write : 0)
+          << "id " << id;
+    }
+  }
+}
+
 TEST(MergeTest, RebuildsEncodings) {
   // After merge the new main should be dictionary/FOR encoded again.
   Schema schema = SchemaBuilder()
