@@ -106,9 +106,10 @@ void BM_CheckpointRecovery(benchmark::State& state) {
                .ok()) {
         std::abort();
       }
-      auto rec = recovered.RecoverFromWal(wal.buffer());
+      auto rec =
+          recovered.RecoverFromCheckpointStore(CheckpointStore{}, wal.buffer());
       if (!rec.ok()) std::abort();
-      tail_txns = rec->txns_applied;
+      tail_txns = rec->stats.txns_applied;
     }
     secs = Seconds(start);
     int64_t n = 0;

@@ -195,9 +195,8 @@ void BM_WalRecovery(benchmark::State& state) {
     auto catalog = MakeCatalog(kTables);
     auto start = std::chrono::steady_clock::now();
     double cpu_start = ThreadCpuSeconds();
-    auto stats = parallel
-                     ? Wal::ReplayParallel(log, catalog.get(), &pool)
-                     : Wal::Replay(log, catalog.get());
+    auto stats = Wal::Replay(log, catalog.get(), {},
+                             parallel ? &pool : nullptr);
     cpu_secs = ThreadCpuSeconds() - cpu_start;
     secs = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          start)

@@ -697,21 +697,6 @@ Result<QueryResult> Database::RunCreate(const sql::CreateTableStmt& s) {
   return result;
 }
 
-Result<Wal::ReplayStats> Database::RecoverFromWal(const std::string& wal_data,
-                                                  ThreadPool* pool) {
-  Wal::ReplayOptions options;
-  options.idempotent = true;
-  OLTAP_ASSIGN_OR_RETURN(
-      Wal::ReplayStats stats,
-      Wal::ReplayParallel(wal_data, &catalog_, pool, options));
-  txn_.AdvanceTo(stats.max_commit_ts);
-  // WAL replay bypasses the transaction path, so the in-memory change logs
-  // and view cursors do not reflect the recovered rows. Every materialized
-  // view is stale-on-recover: rebuild from the recovered bases.
-  OLTAP_RETURN_NOT_OK(views_.RebuildAllAfterRecovery());
-  return stats;
-}
-
 Result<Database::RecoveryReport> Database::RecoverFromCheckpointStore(
     const CheckpointStore& store, const std::string& wal_data,
     ThreadPool* pool) {
@@ -767,7 +752,7 @@ Result<Database::RecoveryReport> Database::RecoverFromCheckpointStore(
 
   OLTAP_ASSIGN_OR_RETURN(
       Wal::ReplayStats tail_stats,
-      Wal::ReplayParallel(wal_data, &catalog_, pool, options));
+      Wal::Replay(wal_data, &catalog_, options, pool));
   report.stats.txns_applied = ckpt_stats.txns_applied + tail_stats.txns_applied;
   report.stats.ops_applied = ckpt_stats.ops_applied + tail_stats.ops_applied;
   report.stats.max_commit_ts =
@@ -781,13 +766,17 @@ Result<Database::RecoveryReport> Database::RecoverFromCheckpointStore(
     // Re-run the view DDL carried in the image: each CREATE re-registers
     // the view, re-creates its backing table, and runs the initial build
     // over the just-recovered bases — the same stale-on-recover rebuild
-    // RecoverFromWal does, driven from the image instead of live registry
+    // as the branch below, driven from the image instead of live registry
     // state.
     for (const sql::Statement& stmt : view_stmts) {
       if (views_.IsView(stmt.create_view->name)) continue;  // re-entrant run
       OLTAP_RETURN_NOT_OK(views_.Create(*stmt.create_view));
     }
   } else {
+    // WAL replay bypasses the transaction path, so the in-memory change
+    // logs and view cursors do not reflect the recovered rows. Every
+    // materialized view is stale-on-recover: rebuild from the recovered
+    // bases.
     OLTAP_RETURN_NOT_OK(views_.RebuildAllAfterRecovery());
   }
   end_phase("recovery.views_us", &report.views_us);

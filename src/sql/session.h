@@ -58,15 +58,6 @@ class Database {
                               const QueryGrant& grant);
   Result<QueryResult> ExecuteIn(Transaction* txn, const std::string& sql);
 
-  // Replays a serialized WAL into this database (tables must already
-  // exist) and fast-forwards the timestamp oracle so new snapshots see the
-  // recovered state. Replay is idempotent for keyed tables, so recovery
-  // that crashed partway can simply run again over the same database.
-  // With a non-null `pool`, replay runs partitioned by table on the pool
-  // (same state, bounded by the largest table instead of the sum).
-  Result<Wal::ReplayStats> RecoverFromWal(const std::string& wal_data,
-                                          ThreadPool* pool = nullptr);
-
   // The online checkpoint daemon for this database, created on first use
   // (SQL CHECKPOINT, SET checkpoint_interval_us, or the workload driver)
   // and wired to this database's catalog, transaction manager, WAL, and
@@ -89,12 +80,19 @@ class Database {
     int64_t views_us = 0;   // rebuilding materialized views
   };
 
-  // Bounded recovery: pick the newest valid image from `store` (falling
-  // back past torn images and a torn manifest), restore it — catalog and
-  // views are rebuilt from the image, so this works on a freshly
-  // constructed Database — then replay only the WAL tail past the
-  // checkpoint. When the store holds no usable image, degrades to full
-  // WAL replay (tables must then already exist, as in RecoverFromWal).
+  // The recovery entry. Picks the newest valid image from `store`
+  // (falling back past torn images and a torn manifest) and restores it —
+  // catalog and views are rebuilt from the image, so this works on a
+  // freshly constructed Database — then replays only the WAL tail past
+  // the checkpoint and fast-forwards the timestamp oracle so new
+  // snapshots see the recovered state. When the store holds no usable
+  // image (an empty CheckpointStore{} included), the whole WAL replays
+  // over tables that must already exist, and every materialized view is
+  // rebuilt from the recovered bases. Replay is idempotent for keyed
+  // tables, so recovery that crashed partway can simply run again over
+  // the same database. With a non-null `pool`, the image and the tail
+  // replay partitioned by table on the pool (same state, bounded by the
+  // largest table instead of the sum).
   Result<RecoveryReport> RecoverFromCheckpointStore(
       const CheckpointStore& store, const std::string& wal_data,
       ThreadPool* pool = nullptr);

@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/byte_codec.h"
 #include "common/failpoint.h"
 #include "common/hash.h"
 
@@ -24,63 +25,6 @@ constexpr char kManifestMagic[8] = {'O', 'L', 'T', 'A', 'P', 'M', 'F', '1'};
 // another.
 constexpr uint64_t kImageChecksumSalt = 0xc2b2ae3d27d4eb4full;
 constexpr uint64_t kManifestChecksumSalt = 0x165667b19e3779f9ull;
-
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-void PutBytes(std::string* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-struct Reader {
-  const char* p;
-  const char* end;
-  bool ok = true;
-
-  bool Need(size_t n) {
-    if (static_cast<size_t>(end - p) < n) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-  uint8_t U8() {
-    if (!Need(1)) return 0;
-    return static_cast<uint8_t>(*p++);
-  }
-  uint32_t U32() {
-    if (!Need(4)) return 0;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-    }
-    p += 4;
-    return v;
-  }
-  uint64_t U64() {
-    if (!Need(8)) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-    }
-    p += 8;
-    return v;
-  }
-  std::string Bytes() {
-    uint32_t n = U32();
-    if (!Need(n)) return std::string();
-    std::string s(p, n);
-    p += n;
-    return s;
-  }
-};
 
 // Serialized form of one table's definition in the catalog section.
 void PutTableDef(std::string* out, const Table& table) {
@@ -234,7 +178,7 @@ Result<Wal::ReplayStats> RestoreValidImage(std::string_view image,
   Wal::ReplayOptions options;
   options.verify_frames = false;
   OLTAP_ASSIGN_OR_RETURN(Wal::ReplayStats stats,
-                         Wal::ReplayParallel(data, catalog, pool, options));
+                         Wal::Replay(data, catalog, options, pool));
   stats.max_commit_ts = std::max(stats.max_commit_ts, ts);
   if (contents != nullptr) {
     contents->ts = ts;
@@ -365,33 +309,6 @@ Result<Wal::ReplayStats> RestoreSelectedImage(
     const CheckpointStore::Image& image, Catalog* catalog,
     CheckpointContents* contents, ThreadPool* pool) {
   return RestoreValidImage(image.data, catalog, contents, pool);
-}
-
-Result<Wal::ReplayStats> RecoverFromCheckpointAndLog(
-    std::string_view checkpoint, std::string_view wal_data, Catalog* catalog,
-    ThreadPool* pool) {
-  // No checkpoint at all: recovery degrades to a full replay of the
-  // retained log (tables must already exist in `catalog`).
-  if (checkpoint.empty()) {
-    return Wal::ReplayParallel(wal_data, catalog, pool, Wal::ReplayOptions{});
-  }
-  // RestoreCheckpoint rejects a torn checkpoint before anything is
-  // applied, so the caller can retry an older image against the same
-  // catalog.
-  CheckpointContents contents;
-  OLTAP_ASSIGN_OR_RETURN(
-      Wal::ReplayStats snap_stats,
-      RestoreCheckpoint(checkpoint, catalog, &contents, pool));
-  Wal::ReplayOptions tail_options;
-  tail_options.skip_through_ts = contents.ts;
-  OLTAP_ASSIGN_OR_RETURN(
-      Wal::ReplayStats tail_stats,
-      Wal::ReplayParallel(wal_data, catalog, pool, tail_options));
-  tail_stats.txns_applied += snap_stats.txns_applied;
-  tail_stats.ops_applied += snap_stats.ops_applied;
-  tail_stats.max_commit_ts =
-      std::max(tail_stats.max_commit_ts, snap_stats.max_commit_ts);
-  return tail_stats;
 }
 
 std::string SerializeManifest(

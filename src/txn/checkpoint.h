@@ -42,7 +42,9 @@ namespace oltap {
 // Fault injection: "checkpoint.write.error" fails the write outright;
 // "checkpoint.write.torn" returns an image truncated mid-write, modeling
 // a crash during the checkpoint write — CheckpointIsValid detects the
-// tear and the recovery driver falls back to an older checkpoint.
+// tear and recovery (Database::RecoverFromCheckpointStore, which restores
+// an image and then replays the WAL tail past it) falls back to an older
+// checkpoint.
 
 struct CheckpointWriteOptions {
   // Tables to leave out of the catalog + data sections (materialized-view
@@ -83,25 +85,6 @@ Result<Wal::ReplayStats> RestoreCheckpoint(std::string_view image,
                                            Catalog* catalog,
                                            CheckpointContents* contents = nullptr,
                                            ThreadPool* pool = nullptr);
-
-// Recovery entry point: restore the checkpoint, then replay the WAL tail —
-// only records with commit_ts > the checkpoint's timestamp are applied.
-// Returns combined stats (max_commit_ts covers the tail). An empty
-// `checkpoint` means "no checkpoint": the full log replays into the
-// caller's pre-created tables.
-//
-// A torn checkpoint is detected up front (kCorruption) with `catalog`
-// untouched, so falling back to an older image may reuse the catalog. Any
-// other failure (a corrupt op body, an unknown table, a failed apply) can
-// surface mid-replay with `catalog` partially populated: discard the
-// catalog before retrying, or rows would be applied twice.
-// With a non-null `pool`, both the checkpoint restore and the tail replay
-// run partitioned by table on the pool (Wal::ReplayParallel) — same
-// resulting state, recovery time bounded by the largest table instead of
-// the sum.
-Result<Wal::ReplayStats> RecoverFromCheckpointAndLog(
-    std::string_view checkpoint, std::string_view wal_data, Catalog* catalog,
-    ThreadPool* pool = nullptr);
 
 // --- Checkpoint chain: versioned images + manifest -----------------------
 //

@@ -13,6 +13,7 @@
 #include <unistd.h>
 #endif
 
+#include "common/byte_codec.h"
 #include "common/failpoint.h"
 #include "common/hash.h"
 #include "common/logging.h"
@@ -33,77 +34,6 @@ constexpr uint32_t kBatchFlag = 0x80000000u;
 // checksum, turning corruption into a parse error instead of a clean
 // torn-tail stop (the WAL fuzz tests pin this down).
 constexpr uint64_t kBatchChecksumSalt = 0x9e3779b97f4a7c15ull;
-
-// --- little-endian primitive (de)serialization into a std::string ---
-
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-void PutU16(std::string* out, uint16_t v) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>(v >> 8));
-}
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-void PutBytes(std::string* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-// Reader with bounds checking; any failure flips ok to false.
-struct Reader {
-  const char* p;
-  const char* end;
-  bool ok = true;
-
-  bool Need(size_t n) {
-    if (static_cast<size_t>(end - p) < n) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-  uint8_t U8() {
-    if (!Need(1)) return 0;
-    return static_cast<uint8_t>(*p++);
-  }
-  uint16_t U16() {
-    if (!Need(2)) return 0;
-    uint16_t v = static_cast<uint8_t>(p[0]) |
-                 (static_cast<uint16_t>(static_cast<uint8_t>(p[1])) << 8);
-    p += 2;
-    return v;
-  }
-  uint32_t U32() {
-    if (!Need(4)) return 0;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-    }
-    p += 4;
-    return v;
-  }
-  uint64_t U64() {
-    if (!Need(8)) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-    }
-    p += 8;
-    return v;
-  }
-  std::string Bytes() {
-    uint32_t n = U32();
-    if (!Need(n)) return std::string();
-    std::string s(p, n);
-    p += n;
-    return s;
-  }
-};
 
 enum ValueTag : uint8_t {
   kTagNull = 0,
@@ -352,6 +282,44 @@ Status ForEachBody(std::string_view data, bool verify, bool* truncated,
       OLTAP_RETURN_NOT_OK(body_fn(br.p, blen));
       br.p += blen;
     }
+  }
+  return Status::OK();
+}
+
+// One table's ops in log order, with the commit timestamp of each.
+struct TablePartition {
+  Table* table = nullptr;
+  std::vector<std::pair<Timestamp, WalOp>> ops;
+};
+
+// The apply pass of a replay with a pool: one task per table (log order
+// within a table). Errors are collected per table; the first one in
+// table-name order is returned, for determinism.
+Status ApplyPartitions(std::map<std::string, TablePartition>* partitions,
+                       ThreadPool* pool, bool idempotent,
+                       size_t* ops_applied) {
+  std::vector<TablePartition*> work;
+  work.reserve(partitions->size());
+  for (auto& [name, part] : *partitions) work.push_back(&part);
+  std::vector<Status> results(work.size());
+  std::vector<uint64_t> applied_counts(work.size(), 0);
+  pool->ParallelForChunked(work.size(), [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      TablePartition* part = work[i];
+      for (auto& [commit_ts, op] : part->ops) {
+        bool applied = false;
+        Status st = ApplyOp(part->table, op, commit_ts, idempotent, &applied);
+        if (!st.ok()) {
+          results[i] = st;
+          break;
+        }
+        if (applied) ++applied_counts[i];
+      }
+    }
+  });
+  for (size_t i = 0; i < work.size(); ++i) {
+    if (!results[i].ok()) return results[i];
+    *ops_applied += applied_counts[i];
   }
   return Status::OK();
 }
@@ -614,17 +582,10 @@ void Wal::Seal() {
 }
 
 bool Wal::IsWellFormed(std::string_view data) {
-  Reader outer{data.data(), data.data() + data.size()};
-  while (outer.p < outer.end) {
-    uint32_t raw = outer.U32();
-    uint64_t checksum = outer.U64();
-    uint32_t len = raw & ~kBatchFlag;
-    if ((raw & kBatchFlag) != 0) checksum ^= kBatchChecksumSalt;
-    if (!outer.ok || !outer.Need(len)) return false;
-    if (HashBytes(outer.p, len) != checksum) return false;
-    outer.p += len;
-  }
-  return true;
+  bool truncated = false;
+  Status walk = ForEachBody(data, /*verify=*/true, &truncated,
+                            [](const char*, size_t) { return Status::OK(); });
+  return walk.ok() && !truncated;
 }
 
 std::string Wal::buffer() const {
@@ -703,20 +664,17 @@ Status Wal::TruncateBelow(Timestamp horizon, uint64_t* dropped_bytes) {
 }
 
 Result<Wal::ReplayStats> Wal::Replay(std::string_view data, Catalog* catalog,
-                                     Timestamp skip_through_ts) {
-  ReplayOptions options;
-  options.skip_through_ts = skip_through_ts;
-  return Replay(data, catalog, options);
-}
-
-Result<Wal::ReplayStats> Wal::Replay(std::string_view data, Catalog* catalog,
-                                     const ReplayOptions& options) {
+                                     const ReplayOptions& options,
+                                     ThreadPool* pool) {
   const std::set<std::string> skipped(options.skip_tables.begin(),
                                       options.skip_tables.end());
+  // With a pool: each table's ops in log order, applied after the walk.
+  std::map<std::string, TablePartition> partitions;
   ReplayStats stats;
   DecodedTxn txn;
   Status walk = ForEachBody(
-      data, options.verify_frames, &stats.truncated_tail, [&](const char* p, size_t len) -> Status {
+      data, options.verify_frames, &stats.truncated_tail,
+      [&](const char* p, size_t len) -> Status {
         OLTAP_RETURN_NOT_OK(ParseBody(p, len, &txn));
         // skip_through_ts == 0 skips nothing: live commits start at ts 1,
         // and ts-0 records (a checkpoint image's data section when the
@@ -734,6 +692,12 @@ Result<Wal::ReplayStats> Wal::Replay(std::string_view data, Catalog* catalog,
             return Status::NotFound("WAL references unknown table: " +
                                     op.table);
           }
+          if (pool != nullptr) {
+            TablePartition& part = partitions[op.table];
+            part.table = table;
+            part.ops.emplace_back(txn.commit_ts, std::move(op));
+            continue;
+          }
           bool applied = false;
           OLTAP_RETURN_NOT_OK(
               ApplyOp(table, op, txn.commit_ts, options.idempotent, &applied));
@@ -744,87 +708,9 @@ Result<Wal::ReplayStats> Wal::Replay(std::string_view data, Catalog* catalog,
         return Status::OK();
       });
   if (!walk.ok()) return walk;
-  return stats;
-}
-
-Result<Wal::ReplayStats> Wal::ReplayParallel(std::string_view data,
-                                             Catalog* catalog,
-                                             ThreadPool* pool) {
-  return ReplayParallel(data, catalog, pool, ReplayOptions());
-}
-
-Result<Wal::ReplayStats> Wal::ReplayParallel(std::string_view data,
-                                             Catalog* catalog,
-                                             ThreadPool* pool,
-                                             const ReplayOptions& options) {
-  if (pool == nullptr) return Replay(data, catalog, options);
-
-  // Decode pass: partition every op by table, preserving log order within
-  // each table. Ops on different tables commute, so per-table in-order
-  // apply reproduces serial replay exactly.
-  struct TablePartition {
-    Table* table = nullptr;
-    std::vector<std::pair<Timestamp, WalOp>> ops;
-  };
-  std::map<std::string, TablePartition> partitions;
-
-  const std::set<std::string> skipped(options.skip_tables.begin(),
-                                      options.skip_tables.end());
-  ReplayStats stats;
-  DecodedTxn txn;
-  Status walk = ForEachBody(
-      data, options.verify_frames, &stats.truncated_tail, [&](const char* p, size_t len) -> Status {
-        OLTAP_RETURN_NOT_OK(ParseBody(p, len, &txn));
-        // Same ts-0 rule as serial Replay above.
-        if (options.skip_through_ts > 0 &&
-            txn.commit_ts <= options.skip_through_ts) {
-          return Status::OK();
-        }
-        CollapseDuplicateKeyOps(&txn.ops);
-        for (WalOp& op : txn.ops) {
-          if (skipped.count(op.table) != 0) continue;
-          TablePartition& part = partitions[op.table];
-          if (part.table == nullptr) {
-            part.table = catalog->GetTable(op.table);
-            if (part.table == nullptr) {
-              return Status::NotFound("WAL references unknown table: " +
-                                      op.table);
-            }
-          }
-          part.ops.emplace_back(txn.commit_ts, std::move(op));
-        }
-        stats.max_commit_ts = std::max(stats.max_commit_ts, txn.commit_ts);
-        ++stats.txns_applied;
-        return Status::OK();
-      });
-  if (!walk.ok()) return walk;
-
-  // Apply pass: one task per table on the pool (deterministic per-table
-  // order = log order). Errors are collected per table; the first one
-  // (in table-name order, for determinism) is returned.
-  std::vector<TablePartition*> work;
-  work.reserve(partitions.size());
-  for (auto& [name, part] : partitions) work.push_back(&part);
-  std::vector<Status> results(work.size());
-  std::vector<uint64_t> applied_counts(work.size(), 0);
-  pool->ParallelForChunked(work.size(), [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      TablePartition* part = work[i];
-      for (auto& [commit_ts, op] : part->ops) {
-        bool applied = false;
-        Status st =
-            ApplyOp(part->table, op, commit_ts, options.idempotent, &applied);
-        if (!st.ok()) {
-          results[i] = st;
-          break;
-        }
-        if (applied) ++applied_counts[i];
-      }
-    }
-  });
-  for (size_t i = 0; i < work.size(); ++i) {
-    if (!results[i].ok()) return results[i];
-    stats.ops_applied += applied_counts[i];
+  if (pool != nullptr) {
+    OLTAP_RETURN_NOT_OK(ApplyPartitions(&partitions, pool, options.idempotent,
+                                        &stats.ops_applied));
   }
   return stats;
 }
@@ -839,7 +725,11 @@ Result<Wal::ReplayStats> Wal::ReplayFile(const std::string& path,
   while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
     data.append(chunk, n);
   }
+  // fread returns 0 on a read error as at end of file: replaying what was
+  // read so far would recover a silent prefix of the log.
+  const bool read_error = std::ferror(f) != 0;
   std::fclose(f);
+  if (read_error) return Status::Unavailable("cannot read WAL file: " + path);
   return Replay(data, catalog);
 }
 

@@ -27,6 +27,34 @@ struct WalOp {
   Row row;          // full image for insert/update; empty for delete
 };
 
+// What Wal::Replay applies (Wal::ReplayOptions). Declared outside Wal so
+// Replay can default it.
+struct WalReplayOptions {
+  // Records with commit_ts <= skip_through_ts are skipped (checkpoint
+  // recovery replays only the tail). 0 skips nothing: live commits
+  // start at ts 1, and ts-0 records — a checkpoint image's data section
+  // when the snapshot predates the first commit — must still apply.
+  Timestamp skip_through_ts = 0;
+  // Idempotent re-run: a keyed op whose table already saw a write to
+  // that key at >= the op's commit timestamp is skipped instead of
+  // re-applied, so recovery interrupted mid-replay can simply run
+  // again over the same catalog (the idempotence the crash-during-
+  // recovery tests pin down). Keyless appends carry no identity and
+  // are NOT deduplicated — re-running recovery over tables with
+  // keyless appends still requires a fresh catalog.
+  bool idempotent = false;
+  // Ops on these tables are dropped without touching the catalog (they
+  // need not exist). Checkpoint recovery skips materialized-view
+  // backing tables this way: their WAL records are maintenance output,
+  // and re-running the carried view DDL rebuilds them from the
+  // recovered bases instead.
+  std::vector<std::string> skip_tables;
+  // False when the caller has already verified every byte of the data
+  // (a checkpoint image's data section, under the image's whole-image
+  // checksum): frames are then parsed without hashing each again.
+  bool verify_frames = true;
+};
+
 // Write-ahead log of committed transactions (redo-only: the deferred-write
 // transaction manager never applies uncommitted changes, so recovery is a
 // pure forward replay — the same simplification Hekaton-style in-memory
@@ -182,61 +210,32 @@ class Wal {
     bool truncated_tail = false;  // hit a torn/corrupt record and stopped
   };
 
-  struct ReplayOptions {
-    // Records with commit_ts <= skip_through_ts are skipped (checkpoint
-    // recovery replays only the tail). 0 skips nothing: live commits
-    // start at ts 1, and ts-0 records — a checkpoint image's data section
-    // when the snapshot predates the first commit — must still apply.
-    Timestamp skip_through_ts = 0;
-    // Idempotent re-run: a keyed op whose table already saw a write to
-    // that key at >= the op's commit timestamp is skipped instead of
-    // re-applied, so recovery interrupted mid-replay can simply run
-    // again over the same catalog (the idempotence the crash-during-
-    // recovery tests pin down). Keyless appends carry no identity and
-    // are NOT deduplicated — re-running recovery over tables with
-    // keyless appends still requires a fresh catalog.
-    bool idempotent = false;
-    // Ops on these tables are dropped without touching the catalog (they
-    // need not exist). Checkpoint recovery skips materialized-view
-    // backing tables this way: their WAL records are maintenance output,
-    // and re-running the carried view DDL rebuilds them from the
-    // recovered bases instead.
-    std::vector<std::string> skip_tables;
-    // False when the caller has already verified every byte of the data
-    // (a checkpoint image's data section, under the image's whole-image
-    // checksum): frames are then parsed without hashing each again.
-    bool verify_frames = true;
-  };
+  using ReplayOptions = WalReplayOptions;
 
   // Replays serialized log `data` into `catalog` (tables must already
-  // exist with matching schemas), reading it in place. Unless
-  // options.idempotent is set, replay into a fresh catalog.
+  // exist with matching schemas), reading it in place. One walk decodes
+  // each commit once and applies the options' skips. Without a pool each
+  // op applies as the walk reaches it; an op on an unknown table fails
+  // the replay with the earlier ops already applied. With a pool the walk
+  // only partitions the ops by table (log order within each table), then
+  // the tables apply concurrently, one task per table: ops on different
+  // tables commute, so the result is byte-identical to the pool-less
+  // replay, and an unknown table fails the walk before anything applies.
+  // Unless options.idempotent is set, replay into a fresh catalog. The
+  // caller fast-forwards its transaction manager to stats.max_commit_ts.
   static Result<ReplayStats> Replay(std::string_view data, Catalog* catalog,
-                                    Timestamp skip_through_ts = 0);
-  static Result<ReplayStats> Replay(std::string_view data, Catalog* catalog,
-                                    const ReplayOptions& options);
+                                    const ReplayOptions& options = {},
+                                    ThreadPool* pool = nullptr);
 
-  // Parallel partitioned replay: one decode pass partitions the log's ops
-  // by table (preserving log order within each table), then the tables
-  // are applied concurrently on `pool`. Ops on different tables commute
-  // (keys are table-scoped), so the result is byte-identical to serial
-  // Replay; the caller fast-forwards the transaction manager once with
-  // AdvanceTo(stats.max_commit_ts) at the end. Unlike serial Replay,
-  // nothing is applied if the log references an unknown table (the
-  // decode pass fails first).
-  static Result<ReplayStats> ReplayParallel(std::string_view data,
-                                            Catalog* catalog, ThreadPool* pool,
-                                            const ReplayOptions& options);
-  static Result<ReplayStats> ReplayParallel(std::string_view data,
-                                            Catalog* catalog, ThreadPool* pool);
-
-  // Convenience: reads the file and replays it.
+  // Convenience: reads the file and replays it. A read error fails with
+  // kUnavailable instead of replaying the prefix read so far.
   static Result<ReplayStats> ReplayFile(const std::string& path,
                                         Catalog* catalog);
 
   // True when every frame in `data` parses with a valid checksum (no torn
-  // tail). Scans frames without applying them — use to validate an image
-  // before mutating a catalog with Replay.
+  // tail) and every batch frame's commits parse. Walks the frames the way
+  // Replay does, without decoding or applying a commit — use to validate
+  // a log before mutating a catalog with Replay.
   static bool IsWellFormed(std::string_view data);
 
  private:

@@ -99,8 +99,8 @@ TEST(CheckpointEquivalenceTest, CheckpointedRecoveryMatchesFullReplay) {
     CHBenchmark fresh(&full, TinyConfig());
     ASSERT_TRUE(fresh.CreateTables().ok());
     ASSERT_TRUE(fresh.Load().ok());
-    auto stats = full.RecoverFromWal(wal.buffer());
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    auto rec = full.RecoverFromCheckpointStore(CheckpointStore{}, wal.buffer());
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
   }
   ExpectSameState(&full, &db, "full replay vs live");
 

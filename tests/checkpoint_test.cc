@@ -75,12 +75,14 @@ TEST(CheckpointTest, CheckpointPlusWalTailRecovery) {
     expected = r->rows;
   }
 
+  CheckpointStore store;
+  store.images.push_back({1, checkpoint_ts, checkpoint});
   Database recovered;
   ASSERT_TRUE(recovered.Execute(CreateSql()).ok());
-  auto stats = RecoverFromCheckpointAndLog(checkpoint, wal.buffer(),
-                                           recovered.catalog());
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  recovered.txn_manager()->AdvanceTo(stats->max_commit_ts);
+  auto report = recovered.RecoverFromCheckpointStore(store, wal.buffer());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->checkpoint_id, 1u);
+  EXPECT_EQ(report->checkpoint_ts, checkpoint_ts);
 
   auto r = recovered.Execute("SELECT id, tag, v FROM t ORDER BY id");
   ASSERT_TRUE(r.ok());
@@ -125,8 +127,7 @@ TEST(CheckpointTest, TornCheckpointRejected) {
   checkpoint.resize(checkpoint.size() / 2);
   Database restored;
   ASSERT_TRUE(restored.Execute(CreateSql()).ok());
-  auto stats =
-      RecoverFromCheckpointAndLog(checkpoint, "", restored.catalog());
+  auto stats = RestoreCheckpoint(checkpoint, restored.catalog());
   EXPECT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), StatusCode::kCorruption);
 }
@@ -154,10 +155,13 @@ TEST(CheckpointTest, TornImageLeavesCatalogUntouched) {
     EXPECT_EQ(restored.status().code(), StatusCode::kCorruption);
     EXPECT_TRUE(empty.catalog()->TableNames().empty());
 
-    auto recovered =
-        RecoverFromCheckpointAndLog(torn, "", empty.catalog());
-    ASSERT_FALSE(recovered.ok());
-    EXPECT_EQ(recovered.status().code(), StatusCode::kCorruption);
+    // Recovery skips the torn image and replays the (empty) log alone.
+    CheckpointStore store;
+    store.images.push_back({1, 0, torn});
+    auto recovered = empty.RecoverFromCheckpointStore(store, "");
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(recovered->fallbacks, 1u);
+    EXPECT_EQ(recovered->checkpoint_id, 0u);
     EXPECT_TRUE(empty.catalog()->TableNames().empty());
 
     // A pre-created table is left empty, so an older image can restore
@@ -165,8 +169,10 @@ TEST(CheckpointTest, TornImageLeavesCatalogUntouched) {
     Database precreated;
     ASSERT_TRUE(precreated.Execute(CreateSql()).ok());
     EXPECT_FALSE(RestoreCheckpoint(torn, precreated.catalog()).ok());
-    EXPECT_FALSE(
-        RecoverFromCheckpointAndLog(torn, "", precreated.catalog()).ok());
+    auto fell_back = precreated.RecoverFromCheckpointStore(store, "");
+    ASSERT_TRUE(fell_back.ok()) << fell_back.status().ToString();
+    EXPECT_EQ(fell_back->fallbacks, 1u);
+    EXPECT_EQ(fell_back->checkpoint_id, 0u);
     EXPECT_EQ(precreated.catalog()->GetTable("t")->CountVisible(kMaxTimestamp),
               0u);
     auto good = RestoreCheckpoint(*ck, precreated.catalog());

@@ -192,6 +192,15 @@ TEST(WalTest, FsyncOnCommitPathIsDurable) {
   std::remove(path.c_str());
 }
 
+// A read error is not the end of the log: a directory opens for reading,
+// but every read of it fails.
+TEST(WalTest, ReplayFileReadErrorFails) {
+  Catalog catalog;
+  auto stats = Wal::ReplayFile(::testing::TempDir(), &catalog);
+  EXPECT_FALSE(stats.ok());
+  EXPECT_TRUE(stats.status().IsUnavailable()) << stats.status().ToString();
+}
+
 TEST(WalTest, InjectedAppendErrorFailsCommitCleanly) {
   Wal wal;
   Catalog source;
@@ -375,34 +384,92 @@ void BuildMultiTableLog(Wal* wal, Catalog* catalog,
   }
 }
 
+// Replay with a pool must reproduce the pool-less replay exactly — stats
+// and committed state — for every option and frame kind the one walk
+// handles.
 TEST(WalTest, ParallelReplayMatchesSerialByteForByte) {
   const std::vector<std::string> tables = {"a", "b", "c", "d"};
   Wal wal;
   Catalog source;
   BuildMultiTableLog(&wal, &source, tables);
   const std::string log = wal.buffer();
+  const Timestamp log_max_ts = wal.Segments().back().max_commit_ts;
 
-  Catalog serial;
-  for (const auto& n : tables) {
-    ASSERT_TRUE(serial.CreateTable(n, TestSchema(), TableFormat::kColumn).ok());
+  // The same commits, then a batch frame of inserts across the tables and
+  // a record frame updating a key the batch did not touch.
+  Timestamp ts = log_max_ts;
+  std::vector<std::string> bodies;
+  for (int i = 0; i < 8; ++i) {
+    Row row = MakeRow(100 + i, "batch", i * 3.0);
+    std::string key = EncodeKey(TestSchema(), row);
+    bodies.push_back(Wal::SerializeCommitBody(
+        1000 + i, ++ts,
+        {WalOp{WalOp::kInsert, tables[i % tables.size()], key, row}}));
   }
-  auto sstats = Wal::Replay(log, &serial);
-  ASSERT_TRUE(sstats.ok()) << sstats.status().ToString();
+  ASSERT_TRUE(wal.LogCommitBatch(bodies).ok());
+  Row updated = MakeRow(1, "after-batch", 7.0);
+  ASSERT_TRUE(wal.LogCommit(2000, ++ts,
+                            {WalOp{WalOp::kUpdate, "b",
+                                   EncodeKey(TestSchema(), updated), updated}})
+                  .ok());
+  const std::string mixed = wal.buffer();
 
-  Catalog parallel;
-  for (const auto& n : tables) {
-    ASSERT_TRUE(
-        parallel.CreateTable(n, TestSchema(), TableFormat::kColumn).ok());
-  }
+  Wal::ReplayOptions all;
+  Wal::ReplayOptions mid_log;
+  mid_log.skip_through_ts = log_max_ts / 2;
+  Wal::ReplayOptions skip_b;
+  skip_b.skip_tables = {"b"};
+  Wal::ReplayOptions unverified;
+  unverified.verify_frames = false;
+  struct Input {
+    const char* name;
+    const std::string& log;
+    const Wal::ReplayOptions& options;
+  };
+  const std::vector<Input> inputs = {{"all", log, all},
+                                     {"skip_through_ts", log, mid_log},
+                                     {"skip_tables", log, skip_b},
+                                     {"verify_frames=false", log, unverified},
+                                     {"record+batch frames", mixed, all}};
+
   ThreadPool pool(4);
-  auto pstats = Wal::ReplayParallel(log, &parallel, &pool);
-  ASSERT_TRUE(pstats.ok()) << pstats.status().ToString();
+  std::map<std::string, Wal::ReplayStats> applied;
+  for (const Input& input : inputs) {
+    SCOPED_TRACE(input.name);
+    Catalog serial;
+    Catalog parallel;
+    for (const auto& n : tables) {
+      ASSERT_TRUE(
+          serial.CreateTable(n, TestSchema(), TableFormat::kColumn).ok());
+      ASSERT_TRUE(
+          parallel.CreateTable(n, TestSchema(), TableFormat::kColumn).ok());
+    }
+    auto sstats = Wal::Replay(input.log, &serial, input.options);
+    ASSERT_TRUE(sstats.ok()) << sstats.status().ToString();
+    auto pstats = Wal::Replay(input.log, &parallel, input.options, &pool);
+    ASSERT_TRUE(pstats.ok()) << pstats.status().ToString();
 
-  EXPECT_EQ(pstats->txns_applied, sstats->txns_applied);
-  EXPECT_EQ(pstats->ops_applied, sstats->ops_applied);
-  EXPECT_EQ(pstats->max_commit_ts, sstats->max_commit_ts);
-  EXPECT_EQ(Fingerprint(parallel, tables), Fingerprint(serial, tables));
-  EXPECT_EQ(Fingerprint(parallel, tables), Fingerprint(source, tables));
+    EXPECT_EQ(pstats->txns_applied, sstats->txns_applied);
+    EXPECT_EQ(pstats->ops_applied, sstats->ops_applied);
+    EXPECT_EQ(pstats->max_commit_ts, sstats->max_commit_ts);
+    EXPECT_EQ(pstats->truncated_tail, sstats->truncated_tail);
+    EXPECT_EQ(Fingerprint(parallel, tables), Fingerprint(serial, tables));
+    if (input.options.skip_tables == std::vector<std::string>{"b"}) {
+      EXPECT_EQ(serial.GetTable("b")->CountVisible(1'000'000), 0u);
+    }
+    if (&input.options == &all && &input.log == &log) {
+      EXPECT_EQ(Fingerprint(parallel, tables), Fingerprint(source, tables));
+    }
+    applied[input.name] = *sstats;
+  }
+  // Each input changes what applies.
+  const size_t full = applied["all"].ops_applied;
+  EXPECT_GT(applied["skip_through_ts"].ops_applied, 0u);
+  EXPECT_LT(applied["skip_through_ts"].ops_applied, full);
+  EXPECT_LT(applied["skip_tables"].ops_applied, full);
+  EXPECT_EQ(applied["verify_frames=false"].ops_applied, full);
+  EXPECT_EQ(applied["record+batch frames"].ops_applied, full + 9);
+  EXPECT_EQ(applied["record+batch frames"].max_commit_ts, ts);
 }
 
 // Crash during recovery: replaying the same log AGAIN over the already-
@@ -440,9 +507,9 @@ TEST(WalTest, RecoveryIsIdempotentSerialAndParallel) {
         parallel.CreateTable(n, TestSchema(), TableFormat::kColumn).ok());
   }
   ThreadPool pool(3);
-  auto pfirst = Wal::ReplayParallel(log, &parallel, &pool, idem);
+  auto pfirst = Wal::Replay(log, &parallel, idem, &pool);
   ASSERT_TRUE(pfirst.ok()) << pfirst.status().ToString();
-  auto psecond = Wal::ReplayParallel(log, &parallel, &pool, idem);
+  auto psecond = Wal::Replay(log, &parallel, idem, &pool);
   ASSERT_TRUE(psecond.ok()) << psecond.status().ToString();
   EXPECT_EQ(psecond->ops_applied, 0u);
   EXPECT_EQ(Fingerprint(parallel, tables), fp_once);
@@ -471,7 +538,7 @@ TEST(WalTest, ParallelReplayUnknownTableAppliesNothing) {
   Catalog catalog;
   ASSERT_TRUE(catalog.CreateTable("t", TestSchema(), TableFormat::kColumn).ok());
   ThreadPool pool(2);
-  auto stats = Wal::ReplayParallel(wal.buffer(), &catalog, &pool);
+  auto stats = Wal::Replay(wal.buffer(), &catalog, {}, &pool);
   EXPECT_FALSE(stats.ok());
   EXPECT_TRUE(stats.status().IsNotFound());
   // The decode pass rejects before the apply pass runs.
